@@ -4,7 +4,7 @@
 GO ?= go
 RATESTLINT := $(shell $(GO) env GOPATH)/bin/ratestlint
 
-.PHONY: all lint test race bench-smoke fmt
+.PHONY: all lint test race bench-smoke fuzz-smoke fmt
 
 all: lint test
 
@@ -22,10 +22,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of the batch/delta/planner benchmarks: compile-and-run
-# smoke plus their embedded equivalence guards.
+# One iteration of the batch, delta, planner, IVM and session benchmarks:
+# compile-and-run smoke plus their embedded equivalence guards. CI runs
+# this target, so this is the one definition of the smoke set.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Batch|PreparedDiff|Planner' -benchtime 1x ./internal/engine/...
+	$(GO) test -run '^$$' -bench 'Batch|PreparedDiff|Planner|ApplyDelta' -benchtime 1x ./internal/engine/...
+	$(GO) test -run '^$$' -bench 'Session' -benchtime 1x ./internal/core/...
+
+# A short run of the tuple-hash fuzz target (Identical ⇒ equal hashes;
+# index probes ≡ linear Identical scans) beyond its checked-in corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzTupleHash$$' -fuzztime 10s ./internal/relation
 
 fmt:
 	gofmt -w .

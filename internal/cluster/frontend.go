@@ -351,15 +351,15 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, path string) {
 
 	reqID := fmt.Sprintf("%s-%06d", f.cfg.IDPrefix, f.reqSeq.Add(1))
 	order := f.route(path, probe.Instance)
-	res, attempts := f.forward(ctx, order, path, payload, tenant, reqID)
+	res, attempts, why := f.forward(ctx, order, path, payload, tenant, reqID)
 	if attempts > 1 {
 		f.retries.Add(int64(attempts - 1))
 	}
 
-	switch {
-	case res.outcome == outcomeFinal:
+	switch why {
+	case stopNone:
 		f.serve(w, res, path, payload, tenant, reqID, attempts, start)
-	case ctx.Err() != nil:
+	case stopBudget:
 		// The budget ran out mid-failover: same structured outcome as a
 		// worker-side budget expiry, so clients see one shape either way.
 		f.budgetLocal.Add(1)
@@ -432,26 +432,43 @@ func (f *Frontend) pick(order []int, next *int) int {
 	return -1
 }
 
+// stopReason is why forward returned. The handler classifies a refusal by
+// it rather than by re-reading the context afterwards: forward can see the
+// budget gone (the remaining time to the deadline is not positive) before
+// the context's own timer has fired.
+type stopReason int
+
+const (
+	stopNone      stopReason = iota // a try is in flight, or a final answer arrived
+	stopBudget                      // the request's budget ran out
+	stopAttempts                    // MaxAttempts tries all failed
+	stopNoReplica                   // no worker could be picked for the next try
+)
+
 // forward drives the attempt loop: launch a try, race its result against
 // the hedge timer and the request deadline, back off between sequential
-// retries, and return the first final result (or the last retryable one
-// when attempts/budget run out).
-func (f *Frontend) forward(ctx context.Context, order []int, path string, payload []byte, tenant, reqID string) (tryResult, int) {
+// retries, and return the first final result (with stopNone) or the last
+// retryable one with the reason no further try was made.
+func (f *Frontend) forward(ctx context.Context, order []int, path string, payload []byte, tenant, reqID string) (tryResult, int, stopReason) {
 	deadline, _ := ctx.Deadline()
 	resCh := make(chan tryResult, f.cfg.MaxAttempts+1)
 	attempts, next, outstanding := 0, 0, 0
+	expired := func() bool { return ctx.Err() != nil || time.Until(deadline) <= 0 }
 
-	launch := func() bool {
+	launch := func() stopReason {
+		if expired() {
+			return stopBudget
+		}
 		if attempts >= f.cfg.MaxAttempts {
-			return false
+			return stopAttempts
 		}
 		perTry := f.perTry(deadline)
 		if perTry <= 0 {
-			return false
+			return stopBudget
 		}
 		wi := f.pick(order, &next)
 		if wi < 0 {
-			return false
+			return stopNoReplica
 		}
 		attempts++
 		a := attempts
@@ -459,11 +476,11 @@ func (f *Frontend) forward(ctx context.Context, order []int, path string, payloa
 			resCh <- f.try(ctx, wi, path, payload, tenant, reqID, a, perTry)
 		}, nil)
 		outstanding++
-		return true
+		return stopNone
 	}
 
-	if !launch() {
-		return tryResult{err: fmt.Errorf("no worker replica admissible")}, attempts
+	if why := launch(); why != stopNone {
+		return tryResult{err: fmt.Errorf("no worker replica admissible")}, attempts, why
 	}
 
 	// Arm the hedge only when the budget could absorb a second pass.
@@ -480,30 +497,33 @@ func (f *Frontend) forward(ctx context.Context, order []int, path string, payloa
 		case res := <-resCh:
 			outstanding--
 			if res.outcome == outcomeFinal {
-				return res, attempts
+				return res, attempts, stopNone
 			}
 			last = res
 			if outstanding > 0 {
 				continue // a hedge partner is still running; wait it out
 			}
-			if ctx.Err() != nil || attempts >= f.cfg.MaxAttempts {
-				return last, attempts
+			if expired() {
+				return last, attempts, stopBudget
+			}
+			if attempts >= f.cfg.MaxAttempts {
+				return last, attempts, stopAttempts
 			}
 			if err := sleep(ctx, f.backoff.delay(attempts)); err != nil {
-				return last, attempts
+				return last, attempts, stopBudget
 			}
-			if !launch() {
-				return last, attempts
+			if why := launch(); why != stopNone {
+				return last, attempts, why
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			if outstanding == 1 && launch() {
+			if outstanding == 1 && launch() == stopNone {
 				f.hedges.Add(1)
 			}
 		case <-ctx.Done():
 			// Outstanding tries see the same cancellation and drain into the
 			// buffered channel; nothing leaks.
-			return last, attempts
+			return last, attempts, stopBudget
 		}
 	}
 }

@@ -110,7 +110,9 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	// counterexample under the original parameters); within each class the
 	// smallest group is tried first (the paper picks the group with the
 	// fewest tuples for tractability).
-	differKeys := map[string]bool{}
+	// differKeys holds the keys of groups whose output rows differ, and
+	// differ chains their positions by key hash.
+	differ, differKeys := relation.NewIndex(0), []relation.Tuple(nil)
 	for _, rel := range []*relation.Relation{d12, d21} {
 		ap := ap1
 		if rel == d21 {
@@ -129,8 +131,12 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 			// projection kept all group columns in order; otherwise match
 			// by scanning.
 			for _, g := range ap.Groups {
-				if projectedKey(g, ap).Key() == key.Key() {
-					differKeys[g.Key.Key()] = true
+				if !projectedKey(g, ap).Identical(key) {
+					continue
+				}
+				if h := g.Key.Hash(); differ.Find(h, differKeys, nil, g.Key, nil) < 0 {
+					differ.Add(h, len(differKeys))
+					differKeys = append(differKeys, g.Key)
 				}
 			}
 		}
@@ -141,19 +147,20 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		differs bool
 	}
 	var cands []cand
-	seen := map[string]bool{}
+	seen, seenKeys := relation.NewIndex(0), []relation.Tuple(nil)
 	for _, ap := range []*eval.AggProvResult{ap1, ap2} {
 		for _, g := range ap.Groups {
-			ks := g.Key.Key()
-			if seen[ks] {
+			h := g.Key.Hash()
+			if seen.Find(h, seenKeys, nil, g.Key, nil) >= 0 {
 				continue
 			}
-			seen[ks] = true
+			seen.Add(h, len(seenKeys))
+			seenKeys = append(seenKeys, g.Key)
 			size := g.Size
 			if o := otherGroup(ap1, ap2, ap, g.Key); o != nil && o.Size > size {
 				size = o.Size
 			}
-			cands = append(cands, cand{key: g.Key, size: size, differs: differKeys[ks]})
+			cands = append(cands, cand{key: g.Key, size: size, differs: differ.Find(h, differKeys, nil, g.Key, nil) >= 0})
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool {

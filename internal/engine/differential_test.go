@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ra"
 	"repro/internal/relation"
+	"repro/internal/testdb"
 )
 
 // This file differentially tests the hash-based engine against an
@@ -299,7 +300,7 @@ func randomPlan(rng *rand.Rand) ra.Node {
 func keySet(tuples []relation.Tuple) map[string]bool {
 	m := make(map[string]bool, len(tuples))
 	for _, t := range tuples {
-		m[t.Key()] = true
+		m[testdb.TupleKey(t)] = true
 	}
 	return m
 }
@@ -428,7 +429,7 @@ func TestDifferentialWhySemiring(t *testing.T) {
 			inRes := keySet(res.tuples)
 			fn := func(id int) bool { return ids[id] }
 			for j, tup := range got.Tuples {
-				if got.Anns[j].Eval(fn) != inRes[tup.Key()] {
+				if got.Anns[j].Eval(fn) != inRes[testdb.TupleKey(tup)] {
 					t.Fatalf("trial %d: provenance of %v wrong on subinstance %v\nprov: %s\nquery: %s",
 						trial, tup, ids, got.Anns[j], q)
 				}

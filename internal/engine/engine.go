@@ -360,8 +360,8 @@ func (e *exec[T]) base(x *ra.Rel) (*Rel[T], error) {
 	if r == nil {
 		return nil, fmt.Errorf("engine: unknown relation %q", x.Name)
 	}
-	out := NewRel[T](r.Schema)
 	if w := e.opts.workerCount(r.Len()); w > 1 {
+		out := NewRel[T](r.Schema)
 		err := parallelBuild(e.s, w, r.Len(),
 			func(i int) relation.Tuple { return r.Tuples[i] },
 			func(i int) (T, error) {
@@ -377,6 +377,7 @@ func (e *exec[T]) base(x *ra.Rel) (*Rel[T], error) {
 		e.scans[x.Name] = out
 		return out, nil
 	}
+	out := newIndexedRel[T](r.Schema, r.Len())
 	for i, t := range r.Tuples {
 		ann, err := e.s.Leaf(r.ID(i))
 		if err != nil {
@@ -417,7 +418,7 @@ func (e *exec[T]) project(x *ra.Project, in *Rel[T]) (*Rel[T], error) {
 	}
 	out := NewRel[T](outSchema)
 	for i, t := range in.Tuples {
-		out.Add(e.s, t.Project(idxs), in.Anns[i])
+		out.addProjected(e.s, t, idxs, in.Anns[i])
 	}
 	return out, nil
 }

@@ -67,33 +67,57 @@ func (e *exec[T]) groupBy(g *ra.GroupBy, in *Rel[T]) (*Rel[T], error) {
 		return parallelGroupBy(e.s, g, in, gIdx, aIdx, outSchema, w)
 	}
 	out := NewRel[T](outSchema)
-
-	groups := map[string][]relation.Tuple{}
-	var order []string
-	keyTuples := map[string]relation.Tuple{}
-	for _, t := range in.Tuples {
-		k := t.Project(gIdx)
-		ks := k.Key()
-		if _, ok := groups[ks]; !ok {
-			order = append(order, ks)
-			keyTuples[ks] = k
-		}
-		groups[ks] = append(groups[ks], t)
+	pos := make([]int, in.Len())
+	hashes := make([]uint64, in.Len())
+	for i, t := range in.Tuples {
+		pos[i] = i
+		hashes[i] = t.HashCols(gIdx)
 	}
-	for _, ks := range order {
-		members := groups[ks]
-		row := keyTuples[ks].Clone()
+	if err := aggregateGroups(e.s, g, in.Tuples, pos, hashes, gIdx, aIdx, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// aggregateGroups groups the tuples at positions pos (ascending) by their
+// gIdx columns, whose hashes are hashes[p], and appends one output row per
+// group to out — the group key followed by the aggregates over its members
+// in input order — in first-occurrence order of the group keys. It is the
+// body of the serial γ and of each shard of the parallel one.
+func aggregateGroups[T any](s Semiring[T], g *ra.GroupBy, tuples []relation.Tuple, pos []int, hashes []uint64, gIdx, aIdx []int, out *Rel[T]) error {
+	// groups[k] lists the members of the k-th group and firsts[k] is its
+	// first member, which carries the group key; byKey chains group
+	// numbers by key hash.
+	var groups [][]relation.Tuple
+	var firsts []relation.Tuple
+	byKey := relation.NewIndex(0)
+	for _, p := range pos {
+		t := tuples[p]
+		k := byKey.Find(hashes[p], firsts, gIdx, t, gIdx)
+		if k < 0 {
+			k = len(groups)
+			groups = append(groups, nil)
+			firsts = append(firsts, t)
+			byKey.Add(hashes[p], k)
+		}
+		groups[k] = append(groups[k], t)
+	}
+	for k, members := range groups {
+		row := make(relation.Tuple, 0, len(gIdx)+len(g.Aggs))
+		for _, j := range gIdx {
+			row = append(row, firsts[k][j])
+		}
 		for i, a := range g.Aggs {
 			v, err := computeAgg(a.Func, aIdx[i], members)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			row = append(row, v)
 		}
 		// One output row per distinct group key.
-		out.appendDistinct(row, e.s.One())
+		out.appendDistinct(row, s.One())
 	}
-	return out, nil
+	return nil
 }
 
 func computeAgg(f ra.AggFunc, col int, members []relation.Tuple) (relation.Value, error) {

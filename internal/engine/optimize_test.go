@@ -86,11 +86,11 @@ func TestOptimizePreservesProvenance(t *testing.T) {
 			}
 			inRes := map[string]bool{}
 			for _, tup := range res.Tuples {
-				inRes[tup.Key()] = true
+				inRes[testdb.TupleKey(tup)] = true
 			}
 			for i, tup := range ann.Tuples {
 				got := ann.Anns[i].Eval(func(id int) bool { return ids[id] })
-				if got != inRes[tup.Key()] {
+				if got != inRes[testdb.TupleKey(tup)] {
 					t.Fatalf("%s: provenance wrong for %v on %v", src, tup, ids)
 				}
 			}

@@ -16,8 +16,10 @@ import (
 // shards independent — every pair of joinable tuples, and every pair of
 // duplicate tuples, lands in the same shard — so shards can be processed
 // concurrently with no shared mutable state and their outputs concatenated.
-// Shard assignment uses a fixed hash (FNV-1a) and shard outputs are
-// concatenated in shard order, so results are deterministic across runs.
+// Shard assignment reads the fixed-seed tuple hash (relation.Tuple.Hash /
+// HashCols), the same hash every shard's own index chains on, and shard
+// outputs are concatenated in shard order, so results are deterministic
+// across runs.
 
 // ParallelRowThreshold is the minimum combined input size (in rows) at
 // which a physical operator fans out; smaller inputs stay serial because
@@ -39,36 +41,25 @@ func (o Options) workerCount(rows int) int {
 	return o.Parallelism
 }
 
-// fnvShard maps a key encoding to a shard in [0, shards) with FNV-1a.
-// maphash would be faster but is randomly seeded per process; a fixed hash
-// keeps shard assignment — and therefore output tuple order — deterministic
-// across runs.
-func fnvShard(key string, shards int) int {
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return int(h % uint32(shards))
-}
+// shardOf maps a tuple hash to a shard in [0, shards).
+func shardOf(h uint64, shards int) int { return int(h % uint64(shards)) }
 
-// shardByKey computes each tuple's join-key encoding in parallel and groups
+// shardByKey hashes each tuple's join-key columns in parallel and groups
 // tuple positions by key shard. Tuples with a NULL in any key column never
 // join (SQL equality semantics) and are dropped here, exactly as the serial
 // hash join skips them.
-func shardByKey[T any](rel *Rel[T], keyCols []int, shards, workers int) (pos [][]int, keys []string) {
+func shardByKey[T any](rel *Rel[T], keyCols []int, shards, workers int) (pos [][]int, hashes []uint64) {
 	n := rel.Len()
-	keys = make([]string, n)
+	hashes = make([]uint64, n)
 	null := make([]bool, n)
 	parallelRanges(workers, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			k := rel.Tuples[i].Project(keyCols)
-			if hasNullValue(k) {
+			t := rel.Tuples[i]
+			if t.HasNullCols(keyCols) {
 				null[i] = true
 				continue
 			}
-			keys[i] = k.Key()
+			hashes[i] = t.HashCols(keyCols)
 		}
 	})
 	pos = make([][]int, shards)
@@ -76,10 +67,27 @@ func shardByKey[T any](rel *Rel[T], keyCols []int, shards, workers int) (pos [][
 		if null[i] {
 			continue
 		}
-		s := fnvShard(keys[i], shards)
+		s := shardOf(hashes[i], shards)
 		pos[s] = append(pos[s], i)
 	}
-	return pos, keys
+	return pos, hashes
+}
+
+// shardByTuple hashes every tuple (tupleAt(i) for i < n) in parallel and
+// groups positions by tuple shard.
+func shardByTuple(workers, n int, tupleAt func(i int) relation.Tuple) (pos [][]int, hashes []uint64) {
+	hashes = make([]uint64, n)
+	parallelRanges(workers, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			hashes[i] = tupleAt(i).Hash()
+		}
+	})
+	pos = make([][]int, workers)
+	for i := 0; i < n; i++ {
+		s := shardOf(hashes[i], workers)
+		pos[s] = append(pos[s], i)
+	}
+	return pos, hashes
 }
 
 // parallelRanges splits [0, n) into one contiguous chunk per worker and
@@ -113,28 +121,35 @@ func parallelRanges(workers, n int, fn func(lo, hi int)) {
 // an atomic counter. Output tuples are distinct because the inputs are
 // (distinct pairs concatenate to distinct tuples), so the result needs no
 // ⊕-merge.
-func parallelHashJoin[T any](s Semiring[T], l, r *Rel[T], lKeys, rKeys []int, workers, maxRows int, stop func() error, combine func(li, ri int) (relation.Tuple, bool, error), out *Rel[T]) error {
-	lPos, lKeyStr := shardByKey(l, lKeys, workers, workers)
-	rPos, rKeyStr := shardByKey(r, rKeys, workers, workers)
+func parallelHashJoin[T any](s Semiring[T], l, r *Rel[T], lKeys, rKeys []int, workers, maxRows int, stop func() error, combine pairFunc, out *Rel[T]) error {
+	lPos, lHash := shardByKey(l, lKeys, workers, workers)
+	rPos, rHash := shardByKey(r, rKeys, workers, workers)
 
 	locals := make([]*Rel[T], workers)
 	var rows int64
 	err := pool.ForEach(workers, workers, func(w int) error {
-		build := make(map[string][]int, len(rPos[w]))
-		for _, ri := range rPos[w] {
-			k := rKeyStr[ri]
-			build[k] = append(build[k], ri)
+		// The shard's index chains shard-local positions k (rPos[w][k] is
+		// the right tuple), in ascending right order like the serial join.
+		build := relation.NewIndex(len(rPos[w]))
+		for k, ri := range rPos[w] {
+			build.Add(rHash[ri], k)
 		}
 		local := NewRel[T](out.Schema)
+		var scratch relation.Tuple
 		var pairs int
 		for _, li := range lPos[w] {
-			for _, ri := range build[lKeyStr[li]] {
+			lt := l.Tuples[li]
+			for k := build.First(lHash[li]); k >= 0; k = build.Next(k) {
+				ri := rPos[w][k]
+				if !r.Tuples[ri].IdenticalCols(rKeys, lt, lKeys) {
+					continue
+				}
 				if pairs++; stop != nil && pairs%stopPollStride == 0 {
 					if err := stop(); err != nil {
 						return err
 					}
 				}
-				t, ok, err := combine(li, ri)
+				t, ok, err := combine(&scratch, li, ri)
 				if err != nil {
 					return err
 				}
@@ -164,27 +179,16 @@ func parallelHashJoin[T any](s Semiring[T], l, r *Rel[T], lKeys, rKeys []int, wo
 }
 
 // parallelBuild constructs a deduplicated annotated relation from n
-// (tuple, annotation) pairs by partitioning on the hash of the full tuple
-// encoding: all duplicates of a tuple land in the same shard, each shard
-// ⊕-merges its pairs in ascending input order (so merged annotations are
-// identical to the serial build's), and the shard outputs concatenate in
-// shard order. It backs the parallel base-scan and union paths.
+// (tuple, annotation) pairs by partitioning on the full-tuple hash: all
+// duplicates of a tuple land in the same shard, each shard ⊕-merges its
+// pairs in ascending input order (so merged annotations are identical to
+// the serial build's), and the shard outputs concatenate in shard order. It
+// backs the parallel base-scan and union paths.
 func parallelBuild[T any](s Semiring[T], workers, n int, tupleAt func(i int) relation.Tuple, annAt func(i int) (T, error), out *Rel[T]) error {
-	keys := make([]string, n)
-	parallelRanges(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = tupleAt(i).Key()
-		}
-	})
-	shards := make([][]int, workers)
-	for i := 0; i < n; i++ {
-		s := fnvShard(keys[i], workers)
-		shards[s] = append(shards[s], i)
-	}
+	shards, hashes := shardByTuple(workers, n, tupleAt)
 	locals := make([]*Rel[T], workers)
 	err := pool.ForEach(workers, workers, func(w int) error {
-		local := NewRel[T](out.Schema)
-		local.index = make(map[string]int, len(shards[w]))
+		local := newIndexedRel[T](out.Schema, len(shards[w]))
 		for _, i := range shards[w] {
 			ann, err := annAt(i)
 			if err != nil {
@@ -195,13 +199,13 @@ func parallelBuild[T any](s Semiring[T], workers, n int, tupleAt func(i int) rel
 				// inputs are never zero, so only base scans are affected).
 				continue
 			}
-			k := keys[i]
-			if j, ok := local.index[k]; ok {
+			t := tupleAt(i)
+			if j := local.index.Find(hashes[i], local.Tuples, nil, t, nil); j >= 0 {
 				local.Anns[j] = s.Plus(local.Anns[j], ann)
 				continue
 			}
-			local.index[k] = len(local.Tuples)
-			local.Tuples = append(local.Tuples, tupleAt(i))
+			local.index.Add(hashes[i], len(local.Tuples))
+			local.Tuples = append(local.Tuples, t)
 			local.Anns = append(local.Anns, ann)
 		}
 		locals[w] = local
@@ -215,58 +219,42 @@ func parallelBuild[T any](s Semiring[T], workers, n int, tupleAt func(i int) rel
 }
 
 // parallelDiff is the hash difference L − R across `workers` partitions:
-// both sides are sharded by the hash of the full tuple encoding (an
-// identical right tuple — the only kind that affects a left tuple — lands
-// in the same shard), each shard indexes its right partition and probes it
-// with its left partition in left order, and shard outputs concatenate in
-// shard order. NULLs are not special here: the difference matches tuples by
-// full-encoding identity, exactly like the serial probe. Deterministic for
-// a fixed Parallelism.
+// both sides are sharded by full-tuple hash (an identical right tuple — the
+// only kind that affects a left tuple — lands in the same shard), each
+// shard indexes its right partition and probes it with its left partition
+// in left order, and shard outputs concatenate in shard order. NULLs are
+// not special here: the difference matches tuples by Identical, exactly
+// like the serial probe. Deterministic for a fixed Parallelism.
 func parallelDiff[T any](s Semiring[T], l, r *Rel[T], workers int) *Rel[T] {
-	nl, nr := l.Len(), r.Len()
-	lKeys := make([]string, nl)
-	parallelRanges(workers, nl, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			lKeys[i] = l.Tuples[i].Key()
-		}
-	})
-	rKeys := make([]string, nr)
-	parallelRanges(workers, nr, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rKeys[i] = r.Tuples[i].Key()
-		}
-	})
-	lPos := make([][]int, workers)
-	for i := 0; i < nl; i++ {
-		w := fnvShard(lKeys[i], workers)
-		lPos[w] = append(lPos[w], i)
-	}
-	rPos := make([][]int, workers)
-	for i := 0; i < nr; i++ {
-		w := fnvShard(rKeys[i], workers)
-		rPos[w] = append(rPos[w], i)
-	}
+	lPos, lHash := shardByTuple(workers, l.Len(), func(i int) relation.Tuple { return l.Tuples[i] })
+	rPos, rHash := shardByTuple(workers, r.Len(), func(i int) relation.Tuple { return r.Tuples[i] })
 	out := NewRel[T](l.Schema)
 	locals := make([]*Rel[T], workers)
 	// Shards share no mutable state and annAt never fails, so a non-nil
 	// result can only be a recovered worker panic; resurface it rather
 	// than concatenate partial shards (see parallelRanges).
 	err := pool.ForEach(workers, workers, func(w int) error {
-		idx := make(map[string]int, len(rPos[w]))
-		for _, ri := range rPos[w] {
-			idx[rKeys[ri]] = ri // right tuples are distinct: no collisions
+		// The shard's index chains shard-local positions k (rPos[w][k] is
+		// the right tuple).
+		idx := relation.NewIndex(len(rPos[w]))
+		for k, ri := range rPos[w] {
+			idx.Add(rHash[ri], k)
 		}
 		local := NewRelCap[T](l.Schema, len(lPos[w]))
 		for _, li := range lPos[w] {
+			lt := l.Tuples[li]
 			rAnn := s.Zero()
-			if ri, ok := idx[lKeys[li]]; ok {
-				rAnn = r.Anns[ri]
+			for k := idx.First(lHash[li]); k >= 0; k = idx.Next(k) {
+				if ri := rPos[w][k]; r.Tuples[ri].Identical(lt) {
+					rAnn = r.Anns[ri]
+					break
+				}
 			}
 			ann := s.Minus(l.Anns[li], rAnn)
 			if s.IsZero(ann) {
 				continue
 			}
-			local.appendDistinct(l.Tuples[li], ann)
+			local.appendDistinct(lt, ann)
 		}
 		locals[w] = local
 		return nil
@@ -287,44 +275,23 @@ func parallelDiff[T any](s Semiring[T], l, r *Rel[T], workers int) *Rel[T] {
 // a fixed Parallelism, like the other parallel operators.
 func parallelGroupBy[T any](s Semiring[T], g *ra.GroupBy, in *Rel[T], gIdx, aIdx []int, outSchema relation.Schema, workers int) (*Rel[T], error) {
 	n := in.Len()
-	keyTuples := make([]relation.Tuple, n)
-	keys := make([]string, n)
+	hashes := make([]uint64, n)
 	parallelRanges(workers, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			keyTuples[i] = in.Tuples[i].Project(gIdx)
-			keys[i] = keyTuples[i].Key()
+			hashes[i] = in.Tuples[i].HashCols(gIdx)
 		}
 	})
 	shards := make([][]int, workers)
 	for i := 0; i < n; i++ {
-		w := fnvShard(keys[i], workers)
+		w := shardOf(hashes[i], workers)
 		shards[w] = append(shards[w], i)
 	}
 	out := NewRel[T](outSchema)
 	locals := make([]*Rel[T], workers)
 	err := pool.ForEach(workers, workers, func(w int) error {
-		groups := map[string][]relation.Tuple{}
-		var order []string
-		first := map[string]int{}
-		for _, i := range shards[w] {
-			ks := keys[i]
-			if _, ok := groups[ks]; !ok {
-				order = append(order, ks)
-				first[ks] = i
-			}
-			groups[ks] = append(groups[ks], in.Tuples[i])
-		}
-		local := NewRelCap[T](outSchema, len(order))
-		for _, ks := range order {
-			row := keyTuples[first[ks]].Clone()
-			for i, a := range g.Aggs {
-				v, err := computeAgg(a.Func, aIdx[i], groups[ks])
-				if err != nil {
-					return err
-				}
-				row = append(row, v)
-			}
-			local.appendDistinct(row, s.One())
+		local := NewRel[T](outSchema)
+		if err := aggregateGroups(s, g, in.Tuples, shards[w], hashes, gIdx, aIdx, local); err != nil {
+			return err
 		}
 		locals[w] = local
 		return nil

@@ -12,6 +12,12 @@ import (
 // duplicate merging, and the nested-loop fallbacks used for residual-only
 // θ-conditions and as a benchmark baseline.
 
+// pairFunc builds the output tuple for the candidate pair (li, ri) of a
+// join, reporting false when a residual θ-condition rejects it. scratch is
+// a buffer the caller owns and reuses across pairs; it is the only state a
+// pairFunc touches, so the parallel join gives each worker its own.
+type pairFunc func(scratch *relation.Tuple, li, ri int) (relation.Tuple, bool, error)
+
 // join dispatches a theta or natural join.
 func (e *exec[T]) join(l, r *Rel[T], cond ra.Expr) (*Rel[T], error) {
 	if cond == nil {
@@ -35,19 +41,26 @@ func (e *exec[T]) join(l, r *Rel[T], cond ra.Expr) (*Rel[T], error) {
 	// combine builds the output tuple for a candidate pair, applying the
 	// residual θ-condition; it is shared by the serial and parallel paths
 	// (the compiled predicate closures are stateless and safe to share).
-	combine := func(li, ri int) (relation.Tuple, bool, error) {
-		t := l.Tuples[li].Concat(r.Tuples[ri])
-		if pred != nil {
-			v, err := pred(t)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ra.Truthy(v) {
-				return nil, false, nil
-			}
+	// The predicate runs on the caller's scratch buffer, reused across
+	// pairs (one per worker on the parallel path), so a rejected pair —
+	// the bulk of a residual-only θ-join — allocates nothing; only an
+	// accepted pair is copied out.
+	combine := func(scratch *relation.Tuple, li, ri int) (relation.Tuple, bool, error) {
+		if pred == nil {
+			return l.Tuples[li].Concat(r.Tuples[ri]), true, nil
 		}
-		return t, true, nil
+		buf := append(append((*scratch)[:0], l.Tuples[li]...), r.Tuples[ri]...)
+		*scratch = buf
+		v, err := pred(buf)
+		if err != nil {
+			return nil, false, err
+		}
+		if !ra.Truthy(v) {
+			return nil, false, nil
+		}
+		return buf.Clone(), true, nil
 	}
+	var scratch relation.Tuple
 	var pairs int
 	emit := func(li, ri int) error {
 		// Stride-poll the stop hook: emit sees every probed pair (the
@@ -58,7 +71,7 @@ func (e *exec[T]) join(l, r *Rel[T], cond ra.Expr) (*Rel[T], error) {
 				return err
 			}
 		}
-		t, ok, err := combine(li, ri)
+		t, ok, err := combine(&scratch, li, ri)
 		if err != nil || !ok {
 			return err
 		}
@@ -95,24 +108,26 @@ func (e *exec[T]) join(l, r *Rel[T], cond ra.Expr) (*Rel[T], error) {
 	return out, nil
 }
 
-// hashJoin builds a hash table over the right input's key columns and probes
-// it with the left input's, invoking emit for every key match. Tuples with
+// hashJoin builds a hash index over the right input's key columns and
+// probes it with the left input's, invoking emit for every key match in
+// left order, then ascending right position. Both sides hash their key
+// columns in place; a candidate is confirmed column by column. Tuples with
 // NULLs in any key column never join (SQL equality semantics).
 func hashJoin[T any](l, r *Rel[T], lKeys, rKeys []int, emit func(li, ri int) error) error {
-	idx := make(map[string][]int, r.Len())
+	idx := relation.NewIndex(r.Len())
 	for i, rt := range r.Tuples {
-		k := rt.Project(rKeys)
-		if hasNullValue(k) {
-			continue
+		if !rt.HasNullCols(rKeys) {
+			idx.Add(rt.HashCols(rKeys), i)
 		}
-		idx[k.Key()] = append(idx[k.Key()], i)
 	}
 	for li, lt := range l.Tuples {
-		k := lt.Project(lKeys)
-		if hasNullValue(k) {
+		if lt.HasNullCols(lKeys) {
 			continue
 		}
-		for _, ri := range idx[k.Key()] {
+		for ri := idx.First(lt.HashCols(lKeys)); ri >= 0; ri = idx.Next(ri) {
+			if !r.Tuples[ri].IdenticalCols(rKeys, lt, lKeys) {
+				continue
+			}
 			if err := emit(li, ri); err != nil {
 				return err
 			}
@@ -129,8 +144,8 @@ func (e *exec[T]) naturalJoin(l, r *Rel[T]) (*Rel[T], error) {
 		attrs = append(attrs, r.Schema.Attrs[j])
 	}
 	out := NewRel[T](relation.Schema{Attrs: attrs})
-	combine := func(li, ri int) (relation.Tuple, bool, error) {
-		return l.Tuples[li].Concat(r.Tuples[ri].Project(rOnly)), true, nil
+	combine := func(_ *relation.Tuple, li, ri int) (relation.Tuple, bool, error) {
+		return concatCols(l.Tuples[li], r.Tuples[ri], rOnly), true, nil
 	}
 	var pairs int
 	emit := func(li, ri int) error {
@@ -149,7 +164,7 @@ func (e *exec[T]) naturalJoin(l, r *Rel[T]) (*Rel[T], error) {
 		if out.Len() >= e.opts.rowBudget() {
 			return ErrRowBudget
 		}
-		t, _, _ := combine(li, ri)
+		t, _, _ := combine(nil, li, ri)
 		// Distinct: a matching pair agrees on the shared columns, so two
 		// pairs producing the same output tuple would be identical inputs.
 		out.appendDistinct(t, ann)
@@ -176,13 +191,11 @@ func (e *exec[T]) naturalJoin(l, r *Rel[T]) (*Rel[T], error) {
 	}
 	if e.opts.ForceNestedLoop {
 		for li, lt := range l.Tuples {
-			k := lt.Project(lCols)
-			if hasNullValue(k) {
+			if lt.HasNullCols(lCols) {
 				continue
 			}
 			for ri, rt := range r.Tuples {
-				rk := rt.Project(rCols)
-				if hasNullValue(rk) || !k.Identical(rk) {
+				if rt.HasNullCols(rCols) || !lt.IdenticalCols(lCols, rt, rCols) {
 					continue
 				}
 				if err := emit(li, ri); err != nil {
@@ -203,9 +216,9 @@ func (e *exec[T]) naturalJoin(l, r *Rel[T]) (*Rel[T], error) {
 // hash; identical tuples land in the same shard and merge in left-then-
 // right order, matching the serial result annotation-for-annotation.
 func (e *exec[T]) union(l, r *Rel[T]) *Rel[T] {
-	out := NewRel[T](l.Schema)
 	nl := l.Len()
 	if w := e.opts.workerCount(nl + r.Len()); w > 1 {
+		out := NewRel[T](l.Schema)
 		tupleAt := func(i int) relation.Tuple {
 			if i < nl {
 				return l.Tuples[i]
@@ -222,6 +235,7 @@ func (e *exec[T]) union(l, r *Rel[T]) *Rel[T] {
 		_ = parallelBuild(e.s, w, nl+r.Len(), tupleAt, annAt, out)
 		return out
 	}
+	out := newIndexedRel[T](l.Schema, nl+r.Len())
 	for i, t := range l.Tuples {
 		out.Add(e.s, t, l.Anns[i])
 	}
@@ -305,11 +319,12 @@ func crossExceedsBudget(l, r, budget int) bool {
 	return l > 0 && r > budget/l
 }
 
-func hasNullValue(t relation.Tuple) bool {
-	for _, v := range t {
-		if v.IsNull() {
-			return true
-		}
+// concatCols returns lt followed by rt's values at rCols, in one allocation.
+func concatCols(lt, rt relation.Tuple, rCols []int) relation.Tuple {
+	out := make(relation.Tuple, len(lt), len(lt)+len(rCols))
+	copy(out, lt)
+	for _, j := range rCols {
+		out = append(out, rt[j])
 	}
-	return false
+	return out
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ra"
 	"repro/internal/relation"
+	"repro/internal/testdb"
 	"repro/internal/tpch"
 )
 
@@ -109,7 +110,7 @@ type plannerBenchRow struct {
 func benchKeys(r *engine.Rel[bool]) map[string]bool {
 	m := make(map[string]bool, r.Len())
 	for _, t := range r.Tuples {
-		m[t.Key()] = true
+		m[testdb.TupleKey(t)] = true
 	}
 	return m
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ra"
 	"repro/internal/relation"
+	"repro/internal/testdb"
 )
 
 // This file differentially tests the cost-based join planner: for every
@@ -233,7 +234,7 @@ func batchMasks(b *BatchResult) map[string]string {
 				mask[k] = '1'
 			}
 		}
-		m[t.Key()] = string(mask)
+		m[testdb.TupleKey(t)] = string(mask)
 	}
 	return m
 }

@@ -242,7 +242,7 @@ func (n *pproject) delta(ctx *deltaCtx) (*Rel[Count], error) {
 	d := NewRel[Count](n.out.Schema)
 	for i, t := range din.Tuples {
 		if c := din.Anns[i]; c != 0 {
-			d.Add(zsum, t.Project(n.idxs), c)
+			d.addProjected(zsum, t, n.idxs, c)
 		}
 	}
 	ctx.memo[n] = d
@@ -324,9 +324,10 @@ type pjoin struct {
 	natural      bool
 	rOnly        []int           // natural join: right-side columns appended
 	pred         ra.CompiledExpr // residual θ-condition over the concat, or nil
+	scratch      relation.Tuple  // reused buffer the residual runs on
 	out          *Rel[Count]
-	lIdx, rIdx   map[string][]int
-	lSynced      int // child output positions already indexed
+	lIdx, rIdx   *relation.Index // child output positions by key hash
+	lSynced      int             // child output positions already indexed
 	rSynced      int
 }
 
@@ -339,29 +340,62 @@ func (n *pjoin) sync() {
 	if len(n.lKeys) == 0 {
 		return
 	}
-	lrel, rrel := n.l.rel(), n.r.rel()
-	for i := n.lSynced; i < lrel.Len(); i++ {
-		k := lrel.Tuples[i].Project(n.lKeys)
-		if !hasNullValue(k) {
-			n.lIdx[k.Key()] = append(n.lIdx[k.Key()], i)
+	if n.lIdx == nil {
+		n.lIdx, n.rIdx = relation.NewIndex(n.l.rel().Len()), relation.NewIndex(n.r.rel().Len())
+	}
+	n.lSynced = syncIndex(n.lIdx, n.l.rel(), n.lKeys, n.lSynced)
+	n.rSynced = syncIndex(n.rIdx, n.r.rel(), n.rKeys, n.rSynced)
+}
+
+// syncIndex indexes rel's positions from `from` on by their key columns
+// (skipping NULL keys, which never join) and returns the new watermark.
+func syncIndex(idx *relation.Index, rel *Rel[Count], keys []int, from int) int {
+	for i := from; i < rel.Len(); i++ {
+		if t := rel.Tuples[i]; !t.HasNullCols(keys) {
+			idx.Add(t.HashCols(keys), i)
 		}
 	}
-	n.lSynced = lrel.Len()
-	for i := n.rSynced; i < rrel.Len(); i++ {
-		k := rrel.Tuples[i].Project(n.rKeys)
-		if !hasNullValue(k) {
-			n.rIdx[k.Key()] = append(n.rIdx[k.Key()], i)
+	return rel.Len()
+}
+
+// probe calls fn, in ascending position order, for every position p of
+// rel (indexed by idx on its relKeys columns) whose key columns equal t's
+// tKeys columns. A t with a NULL key column matches nothing.
+func probe(idx *relation.Index, rel *Rel[Count], relKeys []int, t relation.Tuple, tKeys []int, fn func(p int) error) error {
+	if t.HasNullCols(tKeys) {
+		return nil
+	}
+	for p := idx.First(t.HashCols(tKeys)); p >= 0; p = idx.Next(p) {
+		if !rel.Tuples[p].IdenticalCols(relKeys, t, tKeys) {
+			continue
+		}
+		if err := fn(p); err != nil {
+			return err
 		}
 	}
-	n.rSynced = rrel.Len()
+	return nil
 }
 
 // outTuple builds the output tuple for a matched pair.
 func (n *pjoin) outTuple(lt, rt relation.Tuple) relation.Tuple {
 	if n.natural {
-		return lt.Concat(rt.Project(n.rOnly))
+		return concatCols(lt, rt, n.rOnly)
 	}
 	return lt.Concat(rt)
+}
+
+// accepts applies the residual θ-condition, if any, to a pair. It runs on
+// the node's reused scratch buffer, so a rejected pair allocates nothing.
+func (n *pjoin) accepts(lt, rt relation.Tuple) (bool, error) {
+	if n.pred == nil {
+		return true, nil
+	}
+	n.scratch = append(append(n.scratch[:0], lt...), rt...)
+	v, err := n.pred(n.scratch)
+	if err != nil {
+		return false, err
+	}
+	return ra.Truthy(v), nil
 }
 
 // emitDelta adds one pair's signed contribution, applying the residual
@@ -376,14 +410,8 @@ func (n *pjoin) emitDelta(ctx *deltaCtx, d *Rel[Count], lt, rt relation.Tuple, c
 	if c == 0 {
 		return nil
 	}
-	if n.pred != nil {
-		v, err := n.pred(lt.Concat(rt))
-		if err != nil {
-			return err
-		}
-		if !ra.Truthy(v) {
-			return nil
-		}
+	if ok, err := n.accepts(lt, rt); err != nil || !ok {
+		return err
 	}
 	d.Add(zsum, n.outTuple(lt, rt), c)
 	return nil
@@ -412,14 +440,10 @@ func (n *pjoin) delta(ctx *deltaCtx) (*Rel[Count], error) {
 			continue
 		}
 		if keyed {
-			k := lt.Project(n.lKeys)
-			if hasNullValue(k) {
-				continue
-			}
-			for _, ri := range n.rIdx[k.Key()] {
-				if err := n.emitDelta(ctx, d, lt, rrel.Tuples[ri], exactMul(c, rrel.Anns[ri])); err != nil {
-					return nil, err
-				}
+			if err := probe(n.rIdx, rrel, n.rKeys, lt, n.lKeys, func(ri int) error {
+				return n.emitDelta(ctx, d, lt, rrel.Tuples[ri], exactMul(c, rrel.Anns[ri]))
+			}); err != nil {
+				return nil, err
 			}
 			continue
 		}
@@ -436,14 +460,10 @@ func (n *pjoin) delta(ctx *deltaCtx) (*Rel[Count], error) {
 			continue
 		}
 		if keyed {
-			k := rt.Project(n.rKeys)
-			if hasNullValue(k) {
-				continue
-			}
-			for _, li := range n.lIdx[k.Key()] {
-				if err := n.emitDelta(ctx, d, lrel.Tuples[li], rt, exactMul(lrel.Anns[li], c)); err != nil {
-					return nil, err
-				}
+			if err := probe(n.lIdx, lrel, n.lKeys, rt, n.rKeys, func(li int) error {
+				return n.emitDelta(ctx, d, lrel.Tuples[li], rt, exactMul(lrel.Anns[li], c))
+			}); err != nil {
+				return nil, err
 			}
 			continue
 		}
@@ -460,23 +480,16 @@ func (n *pjoin) delta(ctx *deltaCtx) (*Rel[Count], error) {
 		if ci == 0 {
 			continue
 		}
-		var lk relation.Tuple
-		if keyed {
-			lk = lt.Project(n.lKeys)
-			if hasNullValue(lk) {
-				continue
-			}
+		if keyed && lt.HasNullCols(n.lKeys) {
+			continue
 		}
 		for j, rt := range dr.Tuples {
 			cj := dr.Anns[j]
 			if cj == 0 {
 				continue
 			}
-			if keyed {
-				rk := rt.Project(n.rKeys)
-				if hasNullValue(rk) || !lk.Identical(rk) {
-					continue
-				}
+			if keyed && (rt.HasNullCols(n.rKeys) || !lt.IdenticalCols(n.lKeys, rt, n.rKeys)) {
+				continue
 			}
 			if err := n.emitDelta(ctx, d, lt, rt, exactMul(ci, cj)); err != nil {
 				return nil, err
@@ -516,13 +529,12 @@ func (n *pdiff) delta(ctx *deltaCtx) (*Rel[Count], error) {
 	}
 	d := NewRel[Count](n.out.Schema)
 	lrel, rrel := n.l.rel(), n.r.rel()
-	seen := map[string]bool{}
+	seen := NewRel[Count](n.out.Schema)
 	process := func(t relation.Tuple) {
-		k := t.Key()
-		if seen[k] {
+		if seen.Lookup(t) >= 0 {
 			return
 		}
-		seen[k] = true
+		seen.appendDistinct(t, 0)
 		oldL := countOf(lrel, t)
 		oldR := countOf(rrel, t)
 		newL := exactAdd(oldL, deltaOf(dl, t))
@@ -567,43 +579,70 @@ func (n *pdiff) commit(ctx *deltaCtx) {
 	applyDelta(n.out, d)
 }
 
-// groupChange records one affected group for commit: the key and its new
-// output row (nil when the group's support emptied).
+// groupChange records one affected group for commit: the group number and
+// its new output row (nil when the group's support emptied).
 type groupChange struct {
-	key string
-	row relation.Tuple
+	group int
+	row   relation.Tuple
 }
 
-// pgroup retains γ's group membership (group key → input output positions)
-// and the current output row per live group. A delta re-aggregates only the
-// groups whose support intersects the changed input tuples; untouched groups
-// keep their retained rows.
+// pgroup retains γ's group membership (group → input output positions)
+// and the current output row per live group. Groups are numbered in
+// first-occurrence order; byKey chains group numbers by key hash. A delta
+// re-aggregates only the groups whose support intersects the changed
+// input tuples; untouched groups keep their retained rows.
 type pgroup struct {
-	in        pnode
-	aggs      []ra.AggSpec
-	gIdx      []int
-	aIdx      []int
-	out       *Rel[Count]
-	groups    map[string][]int
-	keyTuples map[string]relation.Tuple
-	rows      map[string]relation.Tuple
-	inSynced  int
+	in       pnode
+	aggs     []ra.AggSpec
+	gIdx     []int
+	aIdx     []int
+	out      *Rel[Count]
+	keys     []relation.Tuple // group → its key values
+	members  [][]int          // group → input positions
+	rows     []relation.Tuple // group → current output row (nil when empty)
+	byKey    *relation.Index
+	inSynced int
 }
 
 func (n *pgroup) rel() *Rel[Count] { return n.out }
+
+// group returns the number of t's group (by its gIdx columns), creating
+// the group when t's key is new.
+func (n *pgroup) group(t relation.Tuple) int {
+	h := t.HashCols(n.gIdx)
+	if g := n.byKey.Find(h, n.keys, nil, t, n.gIdx); g >= 0 {
+		return g
+	}
+	g := len(n.keys)
+	n.byKey.Add(h, g)
+	n.keys = append(n.keys, t.Project(n.gIdx))
+	n.members = append(n.members, nil)
+	n.rows = append(n.rows, nil)
+	return g
+}
 
 // sync assigns input positions appended since the last delta to groups.
 func (n *pgroup) sync() {
 	inrel := n.in.rel()
 	for p := n.inSynced; p < inrel.Len(); p++ {
-		key := inrel.Tuples[p].Project(n.gIdx)
-		ks := key.Key()
-		if _, ok := n.keyTuples[ks]; !ok {
-			n.keyTuples[ks] = key
-		}
-		n.groups[ks] = append(n.groups[ks], p)
+		g := n.group(inrel.Tuples[p])
+		n.members[g] = append(n.members[g], p)
 	}
 	n.inSynced = inrel.Len()
+}
+
+// aggregate builds a group's output row over the given members.
+func (n *pgroup) aggregate(g int, members []relation.Tuple) (relation.Tuple, error) {
+	row := make(relation.Tuple, len(n.gIdx), len(n.gIdx)+len(n.aggs))
+	copy(row, n.keys[g])
+	for i, a := range n.aggs {
+		v, err := computeAgg(a.Func, n.aIdx[i], members)
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, v)
+	}
+	return row, nil
 }
 
 func (n *pgroup) delta(ctx *deltaCtx) (*Rel[Count], error) {
@@ -618,33 +657,29 @@ func (n *pgroup) delta(ctx *deltaCtx) (*Rel[Count], error) {
 	inrel := n.in.rel()
 	d := NewRel[Count](n.out.Schema)
 	var changes []groupChange
-	var affected []string
-	seenKey := map[string]bool{}
-	// One pass over the input delta collects the affected group keys and
+	var affected []int
+	// One pass over the input delta collects the affected groups and
 	// buckets fresh tuples — delta tuples entering the input for the first
-	// time (possible when a Diff below resurrects a tuple) — per key, so the
-	// per-group work below is linear in the delta instead of rescanning the
-	// whole delta once per affected group.
-	fresh := map[string][]relation.Tuple{}
+	// time (possible when a Diff below resurrects a tuple) — per group, so
+	// the per-group work below is linear in the delta instead of rescanning
+	// the whole delta once per affected group.
+	fresh := map[int][]relation.Tuple{}
+	seen := map[int]bool{}
 	for i, t := range din.Tuples {
-		key := t.Project(n.gIdx)
-		ks := key.Key()
-		if !seenKey[ks] {
-			seenKey[ks] = true
-			affected = append(affected, ks)
-			if _, ok := n.keyTuples[ks]; !ok {
-				n.keyTuples[ks] = key
-			}
+		g := n.group(t)
+		if !seen[g] {
+			seen[g] = true
+			affected = append(affected, g)
 		}
 		if din.Anns[i] > 0 && inrel.Lookup(t) < 0 {
-			fresh[ks] = append(fresh[ks], t)
+			fresh[g] = append(fresh[g], t)
 		}
 	}
-	for _, ks := range affected {
+	for _, g := range affected {
 		// Current support of the group: retained members whose new count
 		// stays positive, plus the fresh tuples bucketed above.
 		var members []relation.Tuple
-		for _, p := range n.groups[ks] {
+		for _, p := range n.members[g] {
 			if err := ctx.pollStep(); err != nil {
 				return nil, err
 			}
@@ -653,20 +688,14 @@ func (n *pgroup) delta(ctx *deltaCtx) (*Rel[Count], error) {
 				members = append(members, t)
 			}
 		}
-		members = append(members, fresh[ks]...)
+		members = append(members, fresh[g]...)
 		var newRow relation.Tuple
 		if len(members) > 0 {
-			row := n.keyTuples[ks].Clone()
-			for i, a := range n.aggs {
-				v, err := computeAgg(a.Func, n.aIdx[i], members)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
+			if newRow, err = n.aggregate(g, members); err != nil {
+				return nil, err
 			}
-			newRow = row
 		}
-		oldRow := n.rows[ks]
+		oldRow := n.rows[g]
 		if oldRow == nil && newRow == nil {
 			continue
 		}
@@ -679,7 +708,7 @@ func (n *pgroup) delta(ctx *deltaCtx) (*Rel[Count], error) {
 		if newRow != nil {
 			d.Add(zsum, newRow, 1)
 		}
-		changes = append(changes, groupChange{key: ks, row: newRow})
+		changes = append(changes, groupChange{group: g, row: newRow})
 	}
 	ctx.memo[n] = d
 	ctx.aux[n] = changes
@@ -689,11 +718,7 @@ func (n *pgroup) delta(ctx *deltaCtx) (*Rel[Count], error) {
 func (n *pgroup) commit(ctx *deltaCtx) {
 	applyDelta(n.out, ctx.memo[n])
 	for _, ch := range ctx.aux[n] {
-		if ch.row == nil {
-			delete(n.rows, ch.key)
-			continue
-		}
-		n.rows[ch.key] = ch.row
+		n.rows[ch.group] = ch.row
 	}
 }
 
@@ -808,7 +833,7 @@ func (b *pbuilder) build(q ra.Node) (pnode, error) {
 		// resolved by name.
 		n := &pproject{in: in, idxs: x.Idxs, out: NewRel[Count](in.rel().Schema.Project(x.Idxs))}
 		for i, t := range in.rel().Tuples {
-			n.out.Add(Counting, t.Project(x.Idxs), in.rel().Anns[i])
+			n.out.addProjected(Counting, t, x.Idxs, in.rel().Anns[i])
 		}
 		return b.add(n), nil
 	}
@@ -858,14 +883,14 @@ func (b *pbuilder) buildProject(x *ra.Project, in pnode) (pnode, error) {
 	}
 	n := &pproject{in: in, idxs: idxs, out: NewRel[Count](outSchema)}
 	for i, t := range in.rel().Tuples {
-		n.out.Add(Counting, t.Project(idxs), in.rel().Anns[i])
+		n.out.addProjected(Counting, t, idxs, in.rel().Anns[i])
 	}
 	return b.add(n), nil
 }
 
 func (b *pbuilder) buildJoin(x *ra.Join, l, r pnode) (pnode, error) {
 	lrel, rrel := l.rel(), r.rel()
-	n := &pjoin{l: l, r: r, lIdx: map[string][]int{}, rIdx: map[string][]int{}}
+	n := &pjoin{l: l, r: r}
 	var outSchema relation.Schema
 	if x.Cond == nil {
 		shared, rOnly := ra.NaturalJoinCols(lrel.Schema, rrel.Schema)
@@ -913,14 +938,8 @@ func (b *pbuilder) buildJoin(x *ra.Join, l, r pnode) (pnode, error) {
 			return nil
 		}
 		lt, rt := lrel.Tuples[li], rrel.Tuples[ri]
-		if n.pred != nil {
-			v, err := n.pred(lt.Concat(rt))
-			if err != nil {
-				return err
-			}
-			if !ra.Truthy(v) {
-				return nil
-			}
+		if ok, err := n.accepts(lt, rt); err != nil || !ok {
+			return err
 		}
 		if n.out.Len() >= b.opts.rowBudget() {
 			return ErrRowBudget
@@ -930,14 +949,8 @@ func (b *pbuilder) buildJoin(x *ra.Join, l, r pnode) (pnode, error) {
 	}
 	if len(n.lKeys) > 0 {
 		for li, lt := range lrel.Tuples {
-			k := lt.Project(n.lKeys)
-			if hasNullValue(k) {
-				continue
-			}
-			for _, ri := range n.rIdx[k.Key()] {
-				if err := emit(li, ri); err != nil {
-					return nil, err
-				}
+			if err := probe(n.rIdx, rrel, n.rKeys, lt, n.lKeys, func(ri int) error { return emit(li, ri) }); err != nil {
+				return nil, err
 			}
 		}
 	} else {
@@ -957,7 +970,7 @@ func (b *pbuilder) buildJoin(x *ra.Join, l, r pnode) (pnode, error) {
 func (b *pbuilder) buildEquiJoin(x *ra.EquiJoin, l, r pnode) (pnode, error) {
 	lrel, rrel := l.rel(), r.rel()
 	n := &pjoin{
-		l: l, r: r, lIdx: map[string][]int{}, rIdx: map[string][]int{},
+		l: l, r: r,
 		lKeys: append([]int(nil), x.LKeys...),
 		rKeys: append([]int(nil), x.RKeys...),
 	}
@@ -981,14 +994,8 @@ func (b *pbuilder) buildEquiJoin(x *ra.EquiJoin, l, r pnode) (pnode, error) {
 		return nil
 	}
 	for li, lt := range lrel.Tuples {
-		k := lt.Project(n.lKeys)
-		if hasNullValue(k) {
-			continue
-		}
-		for _, ri := range n.rIdx[k.Key()] {
-			if err := emit(li, ri); err != nil {
-				return nil, err
-			}
+		if err := probe(n.rIdx, rrel, n.rKeys, lt, n.lKeys, func(ri int) error { return emit(li, ri) }); err != nil {
+			return nil, err
 		}
 	}
 	return b.add(n), nil
@@ -1016,37 +1023,21 @@ func (b *pbuilder) buildGroupBy(x *ra.GroupBy, in pnode) (pnode, error) {
 	}
 	n := &pgroup{
 		in: in, aggs: x.Aggs, gIdx: gIdx, aIdx: aIdx,
-		out:    NewRel[Count](outSchema),
-		groups: map[string][]int{}, keyTuples: map[string]relation.Tuple{},
-		rows: map[string]relation.Tuple{},
+		out: NewRel[Count](outSchema), byKey: relation.NewIndex(0),
 	}
+	n.sync()
 	inrel := in.rel()
-	var order []string
-	for p, t := range inrel.Tuples {
-		key := t.Project(gIdx)
-		ks := key.Key()
-		if _, ok := n.keyTuples[ks]; !ok {
-			n.keyTuples[ks] = key
-			order = append(order, ks)
-		}
-		n.groups[ks] = append(n.groups[ks], p)
-	}
-	n.inSynced = inrel.Len()
-	for _, ks := range order {
-		members := make([]relation.Tuple, 0, len(n.groups[ks]))
-		for _, p := range n.groups[ks] {
+	for g, ps := range n.members {
+		members := make([]relation.Tuple, 0, len(ps))
+		for _, p := range ps {
 			members = append(members, inrel.Tuples[p])
 		}
-		row := n.keyTuples[ks].Clone()
-		for i, a := range x.Aggs {
-			v, err := computeAgg(a.Func, aIdx[i], members)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
+		row, err := n.aggregate(g, members)
+		if err != nil {
+			return nil, err
 		}
 		n.out.appendDistinct(row, 1)
-		n.rows[ks] = row
+		n.rows[g] = row
 	}
 	return b.add(n), nil
 }

@@ -6,19 +6,18 @@ import (
 )
 
 // Rel is an annotated relation: a schema, distinct tuples, and a parallel
-// slice of semiring annotations. A hash index from encoded tuple to
-// position is built lazily: operators that preserve distinctness
+// slice of semiring annotations. A hash index from tuple hash to position
+// (relation.Index: a hash → position chain, each candidate confirmed with
+// Identical) is built lazily: operators that preserve distinctness
 // (selection, join) append without hashing, while duplicate-merging
 // operators (base scan, projection, union) and probes (difference, Lookup)
-// pay for the index only when they need it. This replaces the linear scans
-// of the legacy evaluators with O(1) probes without taxing the operators
-// that never probe.
+// pay for the index only when they need it.
 type Rel[T any] struct {
 	Schema relation.Schema
 	Tuples []relation.Tuple
 	Anns   []T
 
-	index map[string]int
+	index *relation.Index
 }
 
 // ProvRel is the result of how-provenance evaluation.
@@ -45,15 +44,22 @@ func NewRelCap[T any](schema relation.Schema, n int) *Rel[T] {
 // Len returns the number of distinct tuples.
 func (r *Rel[T]) Len() int { return len(r.Tuples) }
 
-// ensureIndex builds the tuple-key hash index if it is missing. Rel tuples
-// are always distinct, so the build is collision-free.
+// newIndexedRel is NewRelCap with the tuple index built up front, for the
+// duplicate-merging builds (base scans, unions) whose every Add probes it.
+func newIndexedRel[T any](schema relation.Schema, n int) *Rel[T] {
+	r := NewRelCap[T](schema, n)
+	r.index = relation.NewIndex(n)
+	return r
+}
+
+// ensureIndex builds the tuple-hash index if it is missing.
 func (r *Rel[T]) ensureIndex() {
 	if r.index != nil {
 		return
 	}
-	r.index = make(map[string]int, len(r.Tuples))
+	r.index = relation.NewIndex(len(r.Tuples))
 	for i, t := range r.Tuples {
-		r.index[t.Key()] = i
+		r.index.Add(t.Hash(), i)
 	}
 }
 
@@ -61,22 +67,37 @@ func (r *Rel[T]) ensureIndex() {
 // already present.
 func (r *Rel[T]) Add(s Semiring[T], t relation.Tuple, ann T) {
 	r.ensureIndex()
-	k := t.Key()
-	if i, ok := r.index[k]; ok {
+	h := t.Hash()
+	if i := r.index.Find(h, r.Tuples, nil, t, nil); i >= 0 {
 		r.Anns[i] = s.Plus(r.Anns[i], ann)
 		return
 	}
-	r.index[k] = len(r.Tuples)
+	r.index.Add(h, len(r.Tuples))
 	r.Tuples = append(r.Tuples, t)
+	r.Anns = append(r.Anns, ann)
+}
+
+// addProjected is Add(s, src.Project(idxs), ann) that builds the projected
+// tuple only when no identical tuple is present yet: projections that
+// collapse many inputs onto few outputs allocate once per output.
+func (r *Rel[T]) addProjected(s Semiring[T], src relation.Tuple, idxs []int, ann T) {
+	r.ensureIndex()
+	h := src.HashCols(idxs)
+	if i := r.index.Find(h, r.Tuples, nil, src, idxs); i >= 0 {
+		r.Anns[i] = s.Plus(r.Anns[i], ann)
+		return
+	}
+	r.index.Add(h, len(r.Tuples))
+	r.Tuples = append(r.Tuples, src.Project(idxs))
 	r.Anns = append(r.Anns, ann)
 }
 
 // appendDistinct appends a tuple the caller guarantees is not already
 // present (e.g. produced by a distinctness-preserving operator). It skips
-// key hashing unless an index already exists.
+// hashing unless an index already exists.
 func (r *Rel[T]) appendDistinct(t relation.Tuple, ann T) {
 	if r.index != nil {
-		r.index[t.Key()] = len(r.Tuples)
+		r.index.Add(t.Hash(), len(r.Tuples))
 	}
 	r.Tuples = append(r.Tuples, t)
 	r.Anns = append(r.Anns, ann)
@@ -86,18 +107,7 @@ func (r *Rel[T]) appendDistinct(t relation.Tuple, ann T) {
 // probe (the index is built on first use).
 func (r *Rel[T]) Lookup(t relation.Tuple) int {
 	r.ensureIndex()
-	if i, ok := r.index[t.Key()]; ok {
-		return i
-	}
-	return -1
-}
-
-// Index exposes the tuple-key index, building it if needed. Callers must
-// treat it as read-only; it is shared so compatibility wrappers
-// (eval.AnnRel) avoid rebuilding it.
-func (r *Rel[T]) Index() map[string]int {
-	r.ensureIndex()
-	return r.index
+	return r.index.Find(t.Hash(), r.Tuples, nil, t, nil)
 }
 
 // Relation strips annotations, returning a plain relation.

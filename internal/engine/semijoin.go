@@ -16,7 +16,7 @@ import (
 // (the trailing Permute drops and reorders columns).
 func (e *exec[T]) equiJoin(x *ra.EquiJoin, l, r *Rel[T]) (*Rel[T], error) {
 	out := NewRel[T](l.Schema.Concat(r.Schema))
-	combine := func(li, ri int) (relation.Tuple, bool, error) {
+	combine := func(_ *relation.Tuple, li, ri int) (relation.Tuple, bool, error) {
 		return l.Tuples[li].Concat(r.Tuples[ri]), true, nil
 	}
 	var pairs int
@@ -33,20 +33,18 @@ func (e *exec[T]) equiJoin(x *ra.EquiJoin, l, r *Rel[T]) (*Rel[T], error) {
 		if out.Len() >= e.opts.rowBudget() {
 			return ErrRowBudget
 		}
-		t, _, _ := combine(li, ri)
+		t, _, _ := combine(nil, li, ri)
 		// Distinct pairs of distinct inputs concatenate to distinct tuples.
 		out.appendDistinct(t, ann)
 		return nil
 	}
 	if e.opts.ForceNestedLoop {
 		for li, lt := range l.Tuples {
-			k := lt.Project(x.LKeys)
-			if hasNullValue(k) {
+			if lt.HasNullCols(x.LKeys) {
 				continue
 			}
 			for ri, rt := range r.Tuples {
-				rk := rt.Project(x.RKeys)
-				if hasNullValue(rk) || !k.Identical(rk) {
+				if rt.HasNullCols(x.RKeys) || !lt.IdenticalCols(x.LKeys, rt, x.RKeys) {
 					continue
 				}
 				if err := emit(li, ri); err != nil {
@@ -70,13 +68,11 @@ func (e *exec[T]) semiJoin(x *ra.Semi, l, r *Rel[T]) (*Rel[T], error) {
 	out := NewRelCap[T](l.Schema, l.Len())
 	if e.opts.ForceNestedLoop {
 		for i, t := range l.Tuples {
-			k := t.Project(x.LKeys)
-			if hasNullValue(k) {
+			if t.HasNullCols(x.LKeys) {
 				continue
 			}
 			for _, rt := range r.Tuples {
-				rk := rt.Project(x.RKeys)
-				if !hasNullValue(rk) && k.Identical(rk) {
+				if !rt.HasNullCols(x.RKeys) && t.IdenticalCols(x.LKeys, rt, x.RKeys) {
 					out.appendDistinct(t, l.Anns[i])
 					break
 				}
@@ -84,13 +80,11 @@ func (e *exec[T]) semiJoin(x *ra.Semi, l, r *Rel[T]) (*Rel[T], error) {
 		}
 		return out, nil
 	}
-	keys := make(map[string]struct{}, r.Len())
-	for _, rt := range r.Tuples {
-		k := rt.Project(x.RKeys)
-		if hasNullValue(k) {
-			continue
+	keys := relation.NewIndex(r.Len())
+	for i, rt := range r.Tuples {
+		if !rt.HasNullCols(x.RKeys) {
+			keys.Add(rt.HashCols(x.RKeys), i)
 		}
-		keys[k.Key()] = struct{}{}
 	}
 	var probed int
 	for i, t := range l.Tuples {
@@ -99,11 +93,10 @@ func (e *exec[T]) semiJoin(x *ra.Semi, l, r *Rel[T]) (*Rel[T], error) {
 				return nil, err
 			}
 		}
-		k := t.Project(x.LKeys)
-		if hasNullValue(k) {
+		if t.HasNullCols(x.LKeys) {
 			continue
 		}
-		if _, ok := keys[k.Key()]; !ok {
+		if keys.Find(t.HashCols(x.LKeys), r.Tuples, x.RKeys, t, x.LKeys) < 0 {
 			continue
 		}
 		// Output is a subset of the distinct left input.
@@ -118,7 +111,7 @@ func (e *exec[T]) semiJoin(x *ra.Semi, l, r *Rel[T]) (*Rel[T], error) {
 func (e *exec[T]) permute(x *ra.Permute, in *Rel[T]) *Rel[T] {
 	out := NewRel[T](in.Schema.Project(x.Idxs))
 	for i, t := range in.Tuples {
-		out.Add(e.s, t.Project(x.Idxs), in.Anns[i])
+		out.addProjected(e.s, t, x.Idxs, in.Anns[i])
 	}
 	return out
 }

@@ -48,12 +48,17 @@ type AggProvResult struct {
 	Groups  []*AggGroup
 	OutCols []OutCol
 
-	byKey map[string]*AggGroup
+	// keys[i] is Groups[i].Key; byKey chains group numbers by key hash.
+	keys  []relation.Tuple
+	byKey *relation.Index
 }
 
 // GroupByKey finds the group with the given key tuple, or nil.
 func (r *AggProvResult) GroupByKey(key relation.Tuple) *AggGroup {
-	return r.byKey[key.Key()]
+	if i := r.byKey.Find(key.Hash(), r.keys, nil, key, nil); i >= 0 {
+		return r.Groups[i]
+	}
+	return nil
 }
 
 // GroupKeyCols returns the indices of the output columns that are group-by
@@ -104,19 +109,20 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 		aIdx[i] = j
 	}
 
-	// Group the annotated tuples.
-	res := &AggProvResult{Spec: spec, byKey: map[string]*AggGroup{}}
-	var order []string
-	members := map[string][]int{}
-	keys := map[string]relation.Tuple{}
+	// Group the annotated tuples, numbering groups in first-occurrence
+	// order: res.keys[g] is group g's key, members[g] its tuple positions.
+	res := &AggProvResult{Spec: spec, byKey: relation.NewIndex(0)}
+	var members [][]int
 	for i, t := range ann.Tuples {
-		k := t.Project(gIdx)
-		ks := k.Key()
-		if _, ok := members[ks]; !ok {
-			order = append(order, ks)
-			keys[ks] = k
+		h := t.HashCols(gIdx)
+		g := res.byKey.Find(h, res.keys, nil, t, gIdx)
+		if g < 0 {
+			g = len(res.keys)
+			res.byKey.Add(h, g)
+			res.keys = append(res.keys, t.Project(gIdx))
+			members = append(members, nil)
 		}
-		members[ks] = append(members[ks], i)
+		members[g] = append(members[g], i)
 	}
 
 	// Group-by output schema, used to translate HAVING predicates.
@@ -125,14 +131,14 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 		return nil, err
 	}
 
-	for _, ks := range order {
-		grp := &AggGroup{Key: keys[ks], Size: len(members[ks])}
+	for gi, key := range res.keys {
+		grp := &AggGroup{Key: key, Size: len(members[gi])}
 		var exists []*boolexpr.Expr
 		grp.Aggs = make([]*smt.AggValue, len(g.Aggs))
 		for ai := range g.Aggs {
 			grp.Aggs[ai] = &smt.AggValue{Func: g.Aggs[ai].Func}
 		}
-		for _, mi := range members[ks] {
+		for _, mi := range members[gi] {
 			prov := ann.Provs[mi]
 			t := ann.Tuples[mi]
 			exists = append(exists, prov)
@@ -170,7 +176,6 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 		}
 		grp.Having = having
 		res.Groups = append(res.Groups, grp)
-		res.byKey[ks] = grp
 	}
 
 	// Output columns: projection over the group-by output, or all of it.

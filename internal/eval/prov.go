@@ -12,38 +12,19 @@ import (
 // semantics, tuples are distinct and the annotation of a merged duplicate is
 // the disjunction of its sources (the string_agg rewrite rule of Section 6).
 //
-// It is a compatibility wrapper over engine.ProvRel; the two share tuple
-// and annotation storage.
+// It is a read-only view of an engine.ProvRel: the two share tuple and
+// annotation storage, and Lookup probes the engine relation's index.
 type AnnRel struct {
 	Schema relation.Schema
 	Tuples []relation.Tuple
 	Provs  []*boolexpr.Expr
 
-	index map[string]int
+	rel *engine.ProvRel
 }
 
-// NewAnnRel creates an empty annotated relation with the given schema.
-func NewAnnRel(schema relation.Schema) *AnnRel {
-	return &AnnRel{Schema: schema, index: map[string]int{}}
-}
-
-// fromEngine wraps an engine provenance result without copying: the tuple
-// slice, annotation slice and hash index are shared.
+// fromEngine wraps an engine provenance result without copying.
 func fromEngine(r *engine.ProvRel) *AnnRel {
-	return &AnnRel{Schema: r.Schema, Tuples: r.Tuples, Provs: r.Anns, index: r.Index()}
-}
-
-// Add inserts a tuple with provenance, merging by disjunction if an
-// identical tuple is already present.
-func (a *AnnRel) Add(t relation.Tuple, prov *boolexpr.Expr) {
-	k := t.Key()
-	if i, ok := a.index[k]; ok {
-		a.Provs[i] = boolexpr.Or(a.Provs[i], prov)
-		return
-	}
-	a.index[k] = len(a.Tuples)
-	a.Tuples = append(a.Tuples, t)
-	a.Provs = append(a.Provs, prov)
+	return &AnnRel{Schema: r.Schema, Tuples: r.Tuples, Provs: r.Anns, rel: r}
 }
 
 // Len returns the number of distinct tuples.
@@ -51,12 +32,7 @@ func (a *AnnRel) Len() int { return len(a.Tuples) }
 
 // Lookup returns the position of an identical tuple, or -1. It is a hash
 // probe, not a scan.
-func (a *AnnRel) Lookup(t relation.Tuple) int {
-	if i, ok := a.index[t.Key()]; ok {
-		return i
-	}
-	return -1
-}
+func (a *AnnRel) Lookup(t relation.Tuple) int { return a.rel.Lookup(t) }
 
 // Relation strips annotations, returning a plain relation.
 func (a *AnnRel) Relation(name string) *relation.Relation {

@@ -144,13 +144,13 @@ func TestProvExactnessAgainstSubinstances(t *testing.T) {
 			}
 			inResult := map[string]bool{}
 			for _, tup := range res.Tuples {
-				inResult[tup.Key()] = true
+				inResult[testdb.TupleKey(tup)] = true
 			}
 			assign := assignIDs(ids...)
 			for i, tup := range ann.Tuples {
-				if ann.Provs[i].Eval(assign) != inResult[tup.Key()] {
+				if ann.Provs[i].Eval(assign) != inResult[testdb.TupleKey(tup)] {
 					t.Fatalf("%s: exactness violated for %v on ids %v (prov=%v, inResult=%v)",
-						src, tup, ids, ann.Provs[i], inResult[tup.Key()])
+						src, tup, ids, ann.Provs[i], inResult[testdb.TupleKey(tup)])
 				}
 			}
 			// Tuples in Q(D') must all appear in the annotated full result

@@ -38,14 +38,14 @@ func (k Key) Validate(db *Database) error {
 	if err != nil {
 		return err
 	}
-	seen := make(map[string]int, r.Len())
+	seen := NewIndex(r.Len())
 	for i, t := range r.Tuples {
-		key := t.Project(idxs).Key()
-		if j, dup := seen[key]; dup {
+		h := t.HashCols(idxs)
+		if j := seen.Find(h, r.Tuples, idxs, t, idxs); j >= 0 {
 			return fmt.Errorf("relation: key violation on %s(%s): tuples %s and %s agree on key",
 				k.Relation, strings.Join(k.Attrs, ","), r.ID(j).Label(), r.ID(i).Label())
 		}
-		seen[key] = i
+		seen.Add(h, i)
 	}
 	return nil
 }
@@ -107,14 +107,19 @@ func (f FD) Validate(db *Database) error {
 	if err != nil {
 		return err
 	}
-	seen := make(map[string]string, r.Len())
+	// One representative per distinct From value: without a violation so
+	// far, every earlier tuple agreeing on From also agrees on To.
+	seen := NewIndex(r.Len())
 	for i, t := range r.Tuples {
-		lhs := t.Project(from).Key()
-		rhs := t.Project(to).Key()
-		if prev, ok := seen[lhs]; ok && prev != rhs {
+		h := t.HashCols(from)
+		j := seen.Find(h, r.Tuples, from, t, from)
+		if j < 0 {
+			seen.Add(h, i)
+			continue
+		}
+		if !r.Tuples[j].IdenticalCols(to, t, to) {
 			return fmt.Errorf("relation: FD violation %s at %s", f, r.ID(i).Label())
 		}
-		seen[lhs] = rhs
 	}
 	return nil
 }
@@ -150,23 +155,15 @@ func (fk ForeignKey) Validate(db *Database) error {
 	if err != nil {
 		return err
 	}
-	parentKeys := make(map[string]bool, parent.Len())
-	for _, t := range parent.Tuples {
-		parentKeys[t.Project(pIdx).Key()] = true
+	parentKeys := NewIndex(parent.Len())
+	for i, t := range parent.Tuples {
+		parentKeys.Add(t.HashCols(pIdx), i)
 	}
 	for i, t := range child.Tuples {
-		sub := t.Project(cIdx)
-		null := false
-		for _, v := range sub {
-			if v.IsNull() {
-				null = true
-				break
-			}
-		}
-		if null {
+		if t.HasNullCols(cIdx) {
 			continue
 		}
-		if !parentKeys[sub.Key()] {
+		if parentKeys.Find(t.HashCols(cIdx), parent.Tuples, pIdx, t, cIdx) < 0 {
 			return fmt.Errorf("relation: foreign key violation %s at %s", fk, child.ID(i).Label())
 		}
 	}
@@ -202,26 +199,29 @@ func (fk ForeignKey) ParentsOf(db *Database) (map[TupleID][]TupleID, error) {
 	if err != nil {
 		return nil, err
 	}
-	parents := make(map[string][]TupleID, parent.Len())
+	// Group the parents by key: groups[g] lists the ids of the parents
+	// sharing the key of parent tuple reps[g], and byKey indexes g.
+	var groups [][]TupleID
+	var reps []Tuple
+	byKey := NewIndex(parent.Len())
 	for i, t := range parent.Tuples {
-		k := t.Project(pIdx).Key()
-		parents[k] = append(parents[k], parent.IDs[i])
+		h := t.HashCols(pIdx)
+		g := byKey.Find(h, reps, pIdx, t, pIdx)
+		if g < 0 {
+			g = len(groups)
+			groups = append(groups, nil)
+			reps = append(reps, t)
+			byKey.Add(h, g)
+		}
+		groups[g] = append(groups[g], parent.IDs[i])
 	}
 	out := make(map[TupleID][]TupleID, child.Len())
 	for i, t := range child.Tuples {
-		sub := t.Project(cIdx)
-		null := false
-		for _, v := range sub {
-			if v.IsNull() {
-				null = true
-				break
-			}
-		}
-		if null {
+		if t.HasNullCols(cIdx) {
 			continue
 		}
-		if ps := parents[sub.Key()]; len(ps) > 0 {
-			out[child.IDs[i]] = ps
+		if g := byKey.Find(t.HashCols(cIdx), reps, pIdx, t, cIdx); g >= 0 {
+			out[child.IDs[i]] = groups[g]
 		}
 	}
 	return out, nil

@@ -58,13 +58,13 @@ func (r *Relation) Contains(t Tuple) bool {
 // kept when present.
 func (r *Relation) Dedup() *Relation {
 	out := NewRelation(r.Name, r.Schema)
-	seen := make(map[string]bool, len(r.Tuples))
+	idx := NewIndex(len(r.Tuples))
 	for i, t := range r.Tuples {
-		k := t.Key()
-		if seen[k] {
+		h := t.Hash()
+		if idx.Find(h, out.Tuples, nil, t, nil) >= 0 {
 			continue
 		}
-		seen[k] = true
+		idx.Add(h, out.Len())
 		if len(r.IDs) > 0 {
 			out.AppendWithID(t, r.IDs[i])
 		} else {
@@ -77,19 +77,14 @@ func (r *Relation) Dedup() *Relation {
 // SetEqual reports whether two relations contain the same set of tuples
 // (ignoring order and multiplicity).
 func (r *Relation) SetEqual(o *Relation) bool {
-	a := make(map[string]bool, len(r.Tuples))
-	for _, t := range r.Tuples {
-		a[t.Key()] = true
-	}
-	b := make(map[string]bool, len(o.Tuples))
-	for _, t := range o.Tuples {
-		b[t.Key()] = true
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
+	return subset(r.Tuples, o.Tuples) && subset(o.Tuples, r.Tuples)
+}
+
+// subset reports whether every tuple of a has an Identical tuple in b.
+func subset(a, b []Tuple) bool {
+	idx := indexTuples(b)
+	for _, t := range a {
+		if idx.Find(t.Hash(), b, nil, t, nil) < 0 {
 			return false
 		}
 	}
@@ -98,21 +93,27 @@ func (r *Relation) SetEqual(o *Relation) bool {
 
 // SetDiff returns the tuples of r not present in o (set semantics, deduped).
 func (r *Relation) SetDiff(o *Relation) *Relation {
-	other := make(map[string]bool, len(o.Tuples))
-	for _, t := range o.Tuples {
-		other[t.Key()] = true
-	}
+	other := indexTuples(o.Tuples)
 	out := NewRelation(r.Name, r.Schema)
-	seen := make(map[string]bool)
+	seen := NewIndex(len(r.Tuples))
 	for _, t := range r.Tuples {
-		k := t.Key()
-		if other[k] || seen[k] {
+		h := t.Hash()
+		if other.Find(h, o.Tuples, nil, t, nil) >= 0 || seen.Find(h, out.Tuples, nil, t, nil) >= 0 {
 			continue
 		}
-		seen[k] = true
+		seen.Add(h, out.Len())
 		out.Append(t)
 	}
 	return out
+}
+
+// indexTuples indexes every position of ts by its tuple's hash.
+func indexTuples(ts []Tuple) *Index {
+	idx := NewIndex(len(ts))
+	for i, t := range ts {
+		idx.Add(t.Hash(), i)
+	}
+	return idx
 }
 
 // Sorted returns a copy with tuples in canonical order (for deterministic

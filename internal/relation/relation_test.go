@@ -162,11 +162,11 @@ func TestTupleKeyDistinguishes(t *testing.T) {
 	b := NewTuple(Int(1), String("a"))
 	c := NewTuple(Int(1), String("b"))
 	d := NewTuple(Float(1), String("a"))
-	if a.Key() != b.Key() {
-		t.Error("identical tuples must share keys")
+	if a.Hash() != b.Hash() {
+		t.Error("identical tuples must share hashes")
 	}
-	if a.Key() == c.Key() || a.Key() == d.Key() {
-		t.Error("distinct tuples must have distinct keys")
+	if a.Hash() == c.Hash() || a.Hash() == d.Hash() {
+		t.Error("distinct tuples should have distinct hashes")
 	}
 }
 
@@ -174,7 +174,7 @@ func TestTupleKeyProperty(t *testing.T) {
 	f := func(x, y int64, s1, s2 string) bool {
 		a := NewTuple(Int(x), String(s1))
 		b := NewTuple(Int(y), String(s2))
-		return (a.Key() == b.Key()) == a.Identical(b)
+		return (a.Hash() == b.Hash()) == a.Identical(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -185,8 +185,8 @@ func TestTupleKeyNoSeparatorConfusion(t *testing.T) {
 	// A tuple of two strings must not collide with a different split.
 	a := NewTuple(String("ab"), String("c"))
 	b := NewTuple(String("a"), String("bc"))
-	if a.Key() == b.Key() {
-		t.Error("string boundary confusion in Key")
+	if a.Hash() == b.Hash() {
+		t.Error("string boundary confusion in Hash")
 	}
 }
 

@@ -29,27 +29,6 @@ type Tuple []Value
 // NewTuple builds a tuple from values.
 func NewTuple(vals ...Value) Tuple { return Tuple(vals) }
 
-// Key encodes the tuple into a string usable as a set-semantics
-// deduplication key. Identical tuples (Value.Identical per position) have
-// identical keys.
-func (t Tuple) Key() string {
-	var b strings.Builder
-	for _, v := range t {
-		b.WriteByte(byte(v.kind) + '0')
-		b.WriteByte('\x1f')
-		switch v.kind {
-		case KindInt, KindBool:
-			b.WriteString(strconv.FormatInt(v.i, 10))
-		case KindFloat:
-			b.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
-		case KindString:
-			b.WriteString(v.s)
-		}
-		b.WriteByte('\x1e')
-	}
-	return b.String()
-}
-
 // Identical reports positionwise exact equality with another tuple.
 func (t Tuple) Identical(o Tuple) bool {
 	if len(t) != len(o) {

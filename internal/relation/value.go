@@ -176,8 +176,16 @@ func (v Value) Equal(o Value) bool {
 }
 
 // Identical reports exact equality including NULL==NULL and kind equality.
-// It is the notion of equality used for set-semantics deduplication.
-func (v Value) Identical(o Value) bool { return v == o }
+// It is the notion of equality used for set-semantics deduplication, so it
+// must be an equivalence: +0 and −0 are identical (as they are equal), and
+// so are any two NaNs (which no comparison calls equal), or a relation
+// holding a NaN could never match itself and L − L would not be empty.
+func (v Value) Identical(o Value) bool {
+	if v == o {
+		return true
+	}
+	return v.kind == KindFloat && o.kind == KindFloat && v.f != v.f && o.f != o.f
+}
 
 // Compare orders two values. It returns (cmp, true) where cmp is -1, 0 or 1,
 // or (0, false) when the values are incomparable (NULLs or mixed

@@ -749,7 +749,7 @@ func (srv *Server) explain(ctx context.Context, req *ExplainRequest, tenant stri
 			panicValue: fmt.Sprint(pe.Value),
 			panicStack: string(pe.Stack),
 		})
-	case errors.Is(err, core.ErrBudget) || ctx.Err() != nil:
+	case budgetCut(ctx, err):
 		// Partial stats with an unknown solver status, not a 500: the
 		// search was cut off, nothing is known about the problem.
 		return finish(http.StatusOK, &ExplainResponse{
@@ -766,6 +766,17 @@ func (srv *Server) explain(ctx context.Context, req *ExplainRequest, tenant stri
 		// or an unknown algorithm name): a client error, not a 500.
 		return errResp(http.StatusUnprocessableEntity, err)
 	}
+}
+
+// budgetCut reports whether a non-nil err from the search pipeline means
+// the request's budget ran out. The search polls ctx and wraps ErrBudget
+// around what it stops with; an expired ctx counts too, because a stop can
+// surface through a path without that wrap. Unlike the frontend's
+// remaining-time arithmetic, both read the one context, whose error never
+// reverts to nil, so a search cut by the budget cannot be classified as
+// anything else.
+func budgetCut(ctx context.Context, err error) bool {
+	return err != nil && (errors.Is(err, core.ErrBudget) || ctx.Err() != nil)
 }
 
 // plannedQuery is a plan-cache entry: the parsed AST and, for cacheable

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -322,7 +321,7 @@ func (srv *Server) sessionCreate(ctx context.Context, req *SessionCreateRequest,
 		p.Constraints = inst.constraints
 	}
 	ls, err := core.NewLiveSession(p)
-	if errors.Is(err, core.ErrBudget) || (err != nil && ctx.Err() != nil) {
+	if budgetCut(ctx, err) {
 		return srv.finishSession(start, http.StatusOK, &SessionResponse{
 			Status: StatusBudgetExceeded, Error: err.Error(),
 		})
@@ -332,7 +331,7 @@ func (srv *Server) sessionCreate(ctx context.Context, req *SessionCreateRequest,
 	}
 	g, err := ls.Grade(ctx)
 	if err != nil {
-		if errors.Is(err, core.ErrBudget) || ctx.Err() != nil {
+		if budgetCut(ctx, err) {
 			return srv.finishSession(start, http.StatusOK, &SessionResponse{
 				Status: StatusBudgetExceeded, Error: err.Error(),
 			})
@@ -441,7 +440,7 @@ func (srv *Server) sessionRevise(ctx context.Context, id string, req *SessionRev
 		path, err = sess.ls.Update(ctx, up)
 	}
 	if err != nil {
-		if errors.Is(err, core.ErrBudget) || ctx.Err() != nil {
+		if budgetCut(ctx, err) {
 			return srv.finishSession(start, http.StatusOK, &SessionResponse{
 				SessionID: id, Status: StatusBudgetExceeded, Error: err.Error(),
 			})
@@ -459,7 +458,7 @@ func (srv *Server) sessionRevise(ctx context.Context, id string, req *SessionRev
 	g, err := sess.ls.Grade(ctx)
 	if err != nil {
 		// The revision is committed; only this grade read ran out of budget.
-		if errors.Is(err, core.ErrBudget) || ctx.Err() != nil {
+		if budgetCut(ctx, err) {
 			return srv.finishSession(start, http.StatusOK, &SessionResponse{
 				SessionID: id, Status: StatusBudgetExceeded, Path: path, Error: err.Error(),
 			})
@@ -519,7 +518,7 @@ func (srv *Server) sessionGet(ctx context.Context, id string) (int, *SessionResp
 	}
 	g, err := sess.ls.Grade(ctx)
 	if err != nil {
-		if errors.Is(err, core.ErrBudget) || ctx.Err() != nil {
+		if budgetCut(ctx, err) {
 			return srv.finishSession(start, http.StatusOK, &SessionResponse{
 				SessionID: id, Status: StatusBudgetExceeded, Error: err.Error(),
 			})

@@ -6,10 +6,40 @@
 package testdb
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"repro/internal/ra"
 	"repro/internal/raparser"
 	"repro/internal/relation"
 )
+
+// TupleKey encodes a tuple as a string for test oracles, which key their
+// expected sets by it so that the engine is never checked against its own
+// tuple hash. Each value is written as its kind, the byte length of its
+// payload and the payload, so no string contents can shift a boundary.
+// Two tuples have equal keys exactly when they are Identical: floats are
+// normalized as Identical compares them (−0 as 0, every NaN as NaN).
+func TupleKey(t relation.Tuple) string {
+	var b strings.Builder
+	for _, v := range t {
+		var p string
+		switch v.Kind() {
+		case relation.KindNull:
+		case relation.KindFloat:
+			f := v.AsFloat()
+			if f == 0 {
+				f = 0 // −0 → +0
+			}
+			p = strconv.FormatFloat(f, 'g', -1, 64)
+		default:
+			p = v.String()
+		}
+		fmt.Fprintf(&b, "%d:%d:%s;", v.Kind(), len(p), p)
+	}
+	return b.String()
+}
 
 // Example1DB builds the Figure 1 instance. Tuple identifiers follow the
 // paper: t1..t3 are Student tuples, t4..t11 Registration tuples.

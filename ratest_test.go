@@ -2,6 +2,7 @@ package ratest
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -153,6 +154,59 @@ func TestEvalFacade(t *testing.T) {
 	r, err := Eval(MustParseQuery("project[name](Student)"), db, nil)
 	if err != nil || r.Len() != 3 {
 		t.Errorf("Eval = %v, %v", r, err)
+	}
+}
+
+// TestEvalTupleIdentity runs deduplication, self-difference and self-join
+// over pairs of tuples whose identity is easy to get wrong: strings holding
+// separator bytes (which once encoded to one shared key), signed zeros and
+// NaNs with different payloads (each pair Identical, so one tuple).
+func TestEvalTupleIdentity(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	otherNaN := math.Float64frombits(0xfff8000000000000)
+	cases := []struct {
+		name  string
+		attrs []Attribute
+		rows  []Tuple
+		want  int // distinct tuples
+	}{
+		{"separator strings",
+			[]Attribute{Attr("a", KindString), Attr("b", KindString)},
+			[]Tuple{NewTuple(Str("a\x1e4\x1fb"), Str("c")), NewTuple(Str("a"), Str("b\x1e4\x1fc"))}, 2},
+		{"signed zeros",
+			[]Attribute{Attr("a", KindFloat), Attr("b", KindInt)},
+			[]Tuple{NewTuple(Float(0), Int(1)), NewTuple(Float(negZero), Int(1))}, 1},
+		{"NaN payloads",
+			[]Attribute{Attr("a", KindFloat), Attr("b", KindInt)},
+			[]Tuple{NewTuple(Float(math.NaN()), Int(1)), NewTuple(Float(otherNaN), Int(1))}, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := NewDatabase()
+			db.CreateRelation("R", NewSchema(c.attrs...))
+			for _, row := range c.rows {
+				db.Insert("R", row)
+			}
+			queries := []struct {
+				src  string
+				want int
+			}{
+				{"R", c.want},
+				{"project[a, b](R)", c.want},
+				{"R union R", c.want},
+				{"R diff R", 0},
+				{"R join R", c.want},
+			}
+			for _, q := range queries {
+				r, err := Eval(MustParseQuery(q.src), db, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", q.src, err)
+				}
+				if r.Len() != q.want {
+					t.Errorf("%s returned %d rows, want %d: %v", q.src, r.Len(), q.want, r.Tuples)
+				}
+			}
+		})
 	}
 }
 
