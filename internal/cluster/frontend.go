@@ -456,15 +456,12 @@ func (f *Frontend) forward(ctx context.Context, order []int, path string, payloa
 	expired := func() bool { return ctx.Err() != nil || time.Until(deadline) <= 0 }
 
 	launch := func() stopReason {
-		if expired() {
+		perTry := f.perTry(deadline)
+		if perTry <= 0 || ctx.Err() != nil {
 			return stopBudget
 		}
 		if attempts >= f.cfg.MaxAttempts {
 			return stopAttempts
-		}
-		perTry := f.perTry(deadline)
-		if perTry <= 0 {
-			return stopBudget
 		}
 		wi := f.pick(order, &next)
 		if wi < 0 {

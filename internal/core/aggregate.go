@@ -110,9 +110,29 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	// counterexample under the original parameters); within each class the
 	// smallest group is tried first (the paper picks the group with the
 	// fewest tuples for tractability).
-	// differKeys holds the keys of groups whose output rows differ, and
-	// differ chains their positions by key hash.
-	differ, differKeys := relation.NewIndex(0), []relation.Tuple(nil)
+	type cand struct {
+		key     relation.Tuple
+		size    int
+		differs bool
+	}
+	// cands[k] is the candidate for group key keys[k], each key listed once
+	// in first-occurrence order; byKey chains k by key hash.
+	var cands []cand
+	var keys []relation.Tuple
+	byKey := relation.NewIndex(0)
+	for _, ap := range []*eval.AggProvResult{ap1, ap2} {
+		for _, g := range ap.Groups {
+			if _, added := byKey.FindOrAdd(g.Key.Hash(), keys, nil, g.Key, nil); !added {
+				continue
+			}
+			keys = append(keys, g.Key)
+			size := g.Size
+			if o := otherGroup(ap1, ap2, ap, g.Key); o != nil && o.Size > size {
+				size = o.Size
+			}
+			cands = append(cands, cand{key: g.Key, size: size})
+		}
+	}
 	for _, rel := range []*relation.Relation{d12, d21} {
 		ap := ap1
 		if rel == d21 {
@@ -131,36 +151,10 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 			// projection kept all group columns in order; otherwise match
 			// by scanning.
 			for _, g := range ap.Groups {
-				if !projectedKey(g, ap).Identical(key) {
-					continue
-				}
-				if h := g.Key.Hash(); differ.Find(h, differKeys, nil, g.Key, nil) < 0 {
-					differ.Add(h, len(differKeys))
-					differKeys = append(differKeys, g.Key)
+				if projectedKey(g, ap).Identical(key) {
+					cands[byKey.Find(g.Key.Hash(), keys, nil, g.Key, nil)].differs = true
 				}
 			}
-		}
-	}
-	type cand struct {
-		key     relation.Tuple
-		size    int
-		differs bool
-	}
-	var cands []cand
-	seen, seenKeys := relation.NewIndex(0), []relation.Tuple(nil)
-	for _, ap := range []*eval.AggProvResult{ap1, ap2} {
-		for _, g := range ap.Groups {
-			h := g.Key.Hash()
-			if seen.Find(h, seenKeys, nil, g.Key, nil) >= 0 {
-				continue
-			}
-			seen.Add(h, len(seenKeys))
-			seenKeys = append(seenKeys, g.Key)
-			size := g.Size
-			if o := otherGroup(ap1, ap2, ap, g.Key); o != nil && o.Size > size {
-				size = o.Size
-			}
-			cands = append(cands, cand{key: g.Key, size: size, differs: differ.Find(h, differKeys, nil, g.Key, nil) >= 0})
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool {

@@ -93,12 +93,10 @@ func aggregateGroups[T any](s Semiring[T], g *ra.GroupBy, tuples []relation.Tupl
 	byKey := relation.NewIndex(0)
 	for _, p := range pos {
 		t := tuples[p]
-		k := byKey.Find(hashes[p], firsts, gIdx, t, gIdx)
-		if k < 0 {
-			k = len(groups)
+		k, added := byKey.FindOrAdd(hashes[p], firsts, gIdx, t, gIdx)
+		if added {
 			groups = append(groups, nil)
 			firsts = append(firsts, t)
-			byKey.Add(hashes[p], k)
 		}
 		groups[k] = append(groups[k], t)
 	}

@@ -16,10 +16,10 @@ import (
 // shards independent — every pair of joinable tuples, and every pair of
 // duplicate tuples, lands in the same shard — so shards can be processed
 // concurrently with no shared mutable state and their outputs concatenated.
-// Shard assignment reads the fixed-seed tuple hash (relation.Tuple.Hash /
-// HashCols), the same hash every shard's own index chains on, and shard
-// outputs are concatenated in shard order, so results are deterministic
-// across runs.
+// Shard assignment reads the fixed-seed shard hash (relation.Tuple.ShardHash
+// / ShardHashCols), while each shard's own index chains on the seeded index
+// hash (Hash / HashCols); shard outputs are concatenated in shard order, so
+// results are deterministic across runs and processes.
 
 // ParallelRowThreshold is the minimum combined input size (in rows) at
 // which a physical operator fans out; smaller inputs stay serial because
@@ -41,51 +41,37 @@ func (o Options) workerCount(rows int) int {
 	return o.Parallelism
 }
 
-// shardOf maps a tuple hash to a shard in [0, shards).
+// shardOf maps a shard hash to a shard in [0, shards).
 func shardOf(h uint64, shards int) int { return int(h % uint64(shards)) }
 
-// shardByKey hashes each tuple's join-key columns in parallel and groups
-// tuple positions by key shard. Tuples with a NULL in any key column never
-// join (SQL equality semantics) and are dropped here, exactly as the serial
-// hash join skips them.
-func shardByKey[T any](rel *Rel[T], keyCols []int, shards, workers int) (pos [][]int, hashes []uint64) {
-	n := rel.Len()
+// shardTuples hashes tupleAt(i) for every i < n in parallel — its columns
+// cols, or the whole tuple when cols is nil (as in IdenticalCols) — and
+// groups the positions into `workers` shards by fixed-seed shard hash.
+// hashes[i] is position i's index hash, for the chains of its shard's own
+// index. With dropNullKeys, positions with a NULL in any of cols are left
+// out: a NULL join key matches nothing (SQL equality), exactly as the
+// serial hash join skips it.
+func shardTuples(workers, n int, tupleAt func(i int) relation.Tuple, cols []int, dropNullKeys bool) (pos [][]int, hashes []uint64) {
 	hashes = make([]uint64, n)
-	null := make([]bool, n)
+	shard := make([]int, n)
 	parallelRanges(workers, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			t := rel.Tuples[i]
-			if t.HasNullCols(keyCols) {
-				null[i] = true
-				continue
+			t := tupleAt(i)
+			switch {
+			case dropNullKeys && t.HasNullCols(cols):
+				shard[i] = -1
+			case cols == nil:
+				hashes[i], shard[i] = t.Hash(), shardOf(t.ShardHash(), workers)
+			default:
+				hashes[i], shard[i] = t.HashCols(cols), shardOf(t.ShardHashCols(cols), workers)
 			}
-			hashes[i] = t.HashCols(keyCols)
-		}
-	})
-	pos = make([][]int, shards)
-	for i := 0; i < n; i++ {
-		if null[i] {
-			continue
-		}
-		s := shardOf(hashes[i], shards)
-		pos[s] = append(pos[s], i)
-	}
-	return pos, hashes
-}
-
-// shardByTuple hashes every tuple (tupleAt(i) for i < n) in parallel and
-// groups positions by tuple shard.
-func shardByTuple(workers, n int, tupleAt func(i int) relation.Tuple) (pos [][]int, hashes []uint64) {
-	hashes = make([]uint64, n)
-	parallelRanges(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hashes[i] = tupleAt(i).Hash()
 		}
 	})
 	pos = make([][]int, workers)
-	for i := 0; i < n; i++ {
-		s := shardOf(hashes[i], workers)
-		pos[s] = append(pos[s], i)
+	for i, s := range shard {
+		if s >= 0 {
+			pos[s] = append(pos[s], i)
+		}
 	}
 	return pos, hashes
 }
@@ -122,8 +108,8 @@ func parallelRanges(workers, n int, fn func(lo, hi int)) {
 // (distinct pairs concatenate to distinct tuples), so the result needs no
 // ⊕-merge.
 func parallelHashJoin[T any](s Semiring[T], l, r *Rel[T], lKeys, rKeys []int, workers, maxRows int, stop func() error, combine pairFunc, out *Rel[T]) error {
-	lPos, lHash := shardByKey(l, lKeys, workers, workers)
-	rPos, rHash := shardByKey(r, rKeys, workers, workers)
+	lPos, lHash := shardTuples(workers, l.Len(), l.tupleAt, lKeys, true)
+	rPos, rHash := shardTuples(workers, r.Len(), r.tupleAt, rKeys, true)
 
 	locals := make([]*Rel[T], workers)
 	var rows int64
@@ -185,7 +171,7 @@ func parallelHashJoin[T any](s Semiring[T], l, r *Rel[T], lKeys, rKeys []int, wo
 // the serial build's), and the shard outputs concatenate in shard order. It
 // backs the parallel base-scan and union paths.
 func parallelBuild[T any](s Semiring[T], workers, n int, tupleAt func(i int) relation.Tuple, annAt func(i int) (T, error), out *Rel[T]) error {
-	shards, hashes := shardByTuple(workers, n, tupleAt)
+	shards, hashes := shardTuples(workers, n, tupleAt, nil, false)
 	locals := make([]*Rel[T], workers)
 	err := pool.ForEach(workers, workers, func(w int) error {
 		local := newIndexedRel[T](out.Schema, len(shards[w]))
@@ -200,11 +186,10 @@ func parallelBuild[T any](s Semiring[T], workers, n int, tupleAt func(i int) rel
 				continue
 			}
 			t := tupleAt(i)
-			if j := local.index.Find(hashes[i], local.Tuples, nil, t, nil); j >= 0 {
+			if j, added := local.index.FindOrAdd(hashes[i], local.Tuples, nil, t, nil); !added {
 				local.Anns[j] = s.Plus(local.Anns[j], ann)
 				continue
 			}
-			local.index.Add(hashes[i], len(local.Tuples))
 			local.Tuples = append(local.Tuples, t)
 			local.Anns = append(local.Anns, ann)
 		}
@@ -226,8 +211,8 @@ func parallelBuild[T any](s Semiring[T], workers, n int, tupleAt func(i int) rel
 // not special here: the difference matches tuples by Identical, exactly
 // like the serial probe. Deterministic for a fixed Parallelism.
 func parallelDiff[T any](s Semiring[T], l, r *Rel[T], workers int) *Rel[T] {
-	lPos, lHash := shardByTuple(workers, l.Len(), func(i int) relation.Tuple { return l.Tuples[i] })
-	rPos, rHash := shardByTuple(workers, r.Len(), func(i int) relation.Tuple { return r.Tuples[i] })
+	lPos, lHash := shardTuples(workers, l.Len(), l.tupleAt, nil, false)
+	rPos, rHash := shardTuples(workers, r.Len(), r.tupleAt, nil, false)
 	out := NewRel[T](l.Schema)
 	locals := make([]*Rel[T], workers)
 	// Shards share no mutable state and annAt never fails, so a non-nil
@@ -274,18 +259,7 @@ func parallelDiff[T any](s Semiring[T], l, r *Rel[T], workers int) *Rel[T] {
 // keys and the shard outputs concatenate in shard order — deterministic for
 // a fixed Parallelism, like the other parallel operators.
 func parallelGroupBy[T any](s Semiring[T], g *ra.GroupBy, in *Rel[T], gIdx, aIdx []int, outSchema relation.Schema, workers int) (*Rel[T], error) {
-	n := in.Len()
-	hashes := make([]uint64, n)
-	parallelRanges(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hashes[i] = in.Tuples[i].HashCols(gIdx)
-		}
-	})
-	shards := make([][]int, workers)
-	for i := 0; i < n; i++ {
-		w := shardOf(hashes[i], workers)
-		shards[w] = append(shards[w], i)
-	}
+	shards, hashes := shardTuples(workers, in.Len(), in.tupleAt, gIdx, false)
 	out := NewRel[T](outSchema)
 	locals := make([]*Rel[T], workers)
 	err := pool.ForEach(workers, workers, func(w int) error {

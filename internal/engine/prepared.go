@@ -609,12 +609,10 @@ func (n *pgroup) rel() *Rel[Count] { return n.out }
 // group returns the number of t's group (by its gIdx columns), creating
 // the group when t's key is new.
 func (n *pgroup) group(t relation.Tuple) int {
-	h := t.HashCols(n.gIdx)
-	if g := n.byKey.Find(h, n.keys, nil, t, n.gIdx); g >= 0 {
+	g, added := n.byKey.FindOrAdd(t.HashCols(n.gIdx), n.keys, nil, t, n.gIdx)
+	if !added {
 		return g
 	}
-	g := len(n.keys)
-	n.byKey.Add(h, g)
 	n.keys = append(n.keys, t.Project(n.gIdx))
 	n.members = append(n.members, nil)
 	n.rows = append(n.rows, nil)

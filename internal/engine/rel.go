@@ -44,6 +44,8 @@ func NewRelCap[T any](schema relation.Schema, n int) *Rel[T] {
 // Len returns the number of distinct tuples.
 func (r *Rel[T]) Len() int { return len(r.Tuples) }
 
+func (r *Rel[T]) tupleAt(i int) relation.Tuple { return r.Tuples[i] }
+
 // newIndexedRel is NewRelCap with the tuple index built up front, for the
 // duplicate-merging builds (base scans, unions) whose every Add probes it.
 func newIndexedRel[T any](schema relation.Schema, n int) *Rel[T] {
@@ -67,12 +69,10 @@ func (r *Rel[T]) ensureIndex() {
 // already present.
 func (r *Rel[T]) Add(s Semiring[T], t relation.Tuple, ann T) {
 	r.ensureIndex()
-	h := t.Hash()
-	if i := r.index.Find(h, r.Tuples, nil, t, nil); i >= 0 {
+	if i, added := r.index.FindOrAdd(t.Hash(), r.Tuples, nil, t, nil); !added {
 		r.Anns[i] = s.Plus(r.Anns[i], ann)
 		return
 	}
-	r.index.Add(h, len(r.Tuples))
 	r.Tuples = append(r.Tuples, t)
 	r.Anns = append(r.Anns, ann)
 }
@@ -82,12 +82,10 @@ func (r *Rel[T]) Add(s Semiring[T], t relation.Tuple, ann T) {
 // collapse many inputs onto few outputs allocate once per output.
 func (r *Rel[T]) addProjected(s Semiring[T], src relation.Tuple, idxs []int, ann T) {
 	r.ensureIndex()
-	h := src.HashCols(idxs)
-	if i := r.index.Find(h, r.Tuples, nil, src, idxs); i >= 0 {
+	if i, added := r.index.FindOrAdd(src.HashCols(idxs), r.Tuples, nil, src, idxs); !added {
 		r.Anns[i] = s.Plus(r.Anns[i], ann)
 		return
 	}
-	r.index.Add(h, len(r.Tuples))
 	r.Tuples = append(r.Tuples, src.Project(idxs))
 	r.Anns = append(r.Anns, ann)
 }

@@ -114,11 +114,8 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 	res := &AggProvResult{Spec: spec, byKey: relation.NewIndex(0)}
 	var members [][]int
 	for i, t := range ann.Tuples {
-		h := t.HashCols(gIdx)
-		g := res.byKey.Find(h, res.keys, nil, t, gIdx)
-		if g < 0 {
-			g = len(res.keys)
-			res.byKey.Add(h, g)
+		g, added := res.byKey.FindOrAdd(t.HashCols(gIdx), res.keys, nil, t, gIdx)
+		if added {
 			res.keys = append(res.keys, t.Project(gIdx))
 			members = append(members, nil)
 		}

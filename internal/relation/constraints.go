@@ -40,12 +40,10 @@ func (k Key) Validate(db *Database) error {
 	}
 	seen := NewIndex(r.Len())
 	for i, t := range r.Tuples {
-		h := t.HashCols(idxs)
-		if j := seen.Find(h, r.Tuples, idxs, t, idxs); j >= 0 {
+		if j, added := seen.FindOrAdd(t.HashCols(idxs), r.Tuples[:i], idxs, t, idxs); !added {
 			return fmt.Errorf("relation: key violation on %s(%s): tuples %s and %s agree on key",
 				k.Relation, strings.Join(k.Attrs, ","), r.ID(j).Label(), r.ID(i).Label())
 		}
-		seen.Add(h, i)
 	}
 	return nil
 }
@@ -111,10 +109,8 @@ func (f FD) Validate(db *Database) error {
 	// far, every earlier tuple agreeing on From also agrees on To.
 	seen := NewIndex(r.Len())
 	for i, t := range r.Tuples {
-		h := t.HashCols(from)
-		j := seen.Find(h, r.Tuples, from, t, from)
-		if j < 0 {
-			seen.Add(h, i)
+		j, added := seen.FindOrAdd(t.HashCols(from), r.Tuples[:i], from, t, from)
+		if added {
 			continue
 		}
 		if !r.Tuples[j].IdenticalCols(to, t, to) {
@@ -205,13 +201,10 @@ func (fk ForeignKey) ParentsOf(db *Database) (map[TupleID][]TupleID, error) {
 	var reps []Tuple
 	byKey := NewIndex(parent.Len())
 	for i, t := range parent.Tuples {
-		h := t.HashCols(pIdx)
-		g := byKey.Find(h, reps, pIdx, t, pIdx)
-		if g < 0 {
-			g = len(groups)
+		g, added := byKey.FindOrAdd(t.HashCols(pIdx), reps, pIdx, t, pIdx)
+		if added {
 			groups = append(groups, nil)
 			reps = append(reps, t)
-			byKey.Add(h, g)
 		}
 		groups[g] = append(groups[g], parent.IDs[i])
 	}

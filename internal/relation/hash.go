@@ -1,25 +1,126 @@
 package relation
 
-import "math"
+import (
+	"encoding/binary"
+	"hash/maphash"
+	"math"
+)
 
-// This file is the one tuple-hashing scheme every hash table in the module
-// uses: a fixed-seed 64-bit value hash that agrees with Identical (identical
-// tuples hash alike), plus Index, a hash → position-chain table whose
-// candidates callers confirm with Identical or IdenticalCols. Distinct
-// tuples may share a hash; the confirmation step makes that a matter of
-// speed, never of correctness. The seed is a constant, so hashes — and the
-// parallel operators' shard assignment and output order — are the same in
-// every process.
+// This file holds the module's tuple hashing and Index, a hash → position
+// chain table whose candidates callers confirm with Identical or
+// IdenticalCols. There are two hashes, and both agree with Identical
+// (identical tuples hash alike):
+//
+//   - Hash / HashCols key every Index. They are keyed by a seed drawn at
+//     random once per process, so which tuples share a hash cannot be
+//     worked out in advance: no input, however crafted, can put many
+//     distinct tuples on one chain and turn probes quadratic.
+//   - ShardHash / ShardHashCols have a fixed seed. Only the parallel
+//     operators' shard assignment reads them, so shards — and therefore
+//     output order — are the same in every process. A collision there only
+//     unbalances a shard; each shard's own index still chains on Hash.
+//
+// Distinct tuples may share a hash of either kind; the confirmation step
+// makes that a matter of speed, never of correctness.
+
+// indexSeed keys Hash and HashCols.
+var indexSeed = maphash.MakeSeed()
+
+// hashWords is how many values' words keyedHasher buffers before it folds
+// them into a chained hash.
+const hashWords = 8
+
+// keyedHasher lays each value out as a 9-byte word — its kind, then a
+// 64-bit payload — and hashes the words with the process seed. Floats are
+// canonicalised (+0 and −0 alike, every NaN alike); a string of at most 8
+// bytes is its own payload, with its length in the tag, and a longer one
+// contributes its own seeded hash. A tuple wider than hashWords values is hashed a
+// chunk at a time, each chunk opening with the previous chunk's hash.
+type keyedHasher struct {
+	n   int
+	buf [9 * hashWords]byte
+}
+
+// Word tags beyond the value kinds: shortStringTag|n tags a string of
+// n ≤ 8 bytes stored whole in its payload, and chainKind tags a word that
+// carries the previous chunk's hash.
+const (
+	shortStringTag = 0x80
+	chainKind      = 0xff
+)
+
+func (k *keyedHasher) add(v Value) {
+	if k.n == len(k.buf) {
+		h := k.sum()
+		k.n = 0
+		k.put(chainKind, h)
+	}
+	switch v.kind {
+	case KindFloat:
+		k.put(byte(v.kind), floatBits(v.f))
+	case KindString:
+		if s := v.s; len(s) <= 8 {
+			var w uint64
+			for i := 0; i < len(s); i++ {
+				w |= uint64(s[i]) << (8 * i)
+			}
+			k.put(shortStringTag|byte(len(s)), w)
+		} else {
+			k.put(byte(v.kind), maphash.String(indexSeed, s))
+		}
+	default:
+		k.put(byte(v.kind), uint64(v.i))
+	}
+}
+
+func (k *keyedHasher) put(kind byte, w uint64) {
+	k.buf[k.n] = kind
+	binary.LittleEndian.PutUint64(k.buf[k.n+1:], w)
+	k.n += 9
+}
+
+func (k *keyedHasher) sum() uint64 { return maphash.Bytes(indexSeed, k.buf[:k.n]) }
+
+// Hash returns the tuple's seeded 64-bit hash, the one every Index keys
+// on. Identical tuples have equal hashes.
+func (t Tuple) Hash() uint64 {
+	var k keyedHasher
+	for _, v := range t {
+		k.add(v)
+	}
+	return k.sum()
+}
+
+// HashCols returns t.Project(idxs).Hash() without building the projection.
+func (t Tuple) HashCols(idxs []int) uint64 {
+	var k keyedHasher
+	for _, j := range idxs {
+		k.add(t[j])
+	}
+	return k.sum()
+}
 
 const (
-	hashSeed = 0x243f6a8885a308d3 // the first fraction digits of π
-	hashMul  = 0x9e3779b97f4a7c15
+	shardSeed = 0x243f6a8885a308d3 // the first fraction digits of π
+	hashMul   = 0x9e3779b97f4a7c15
 	// nanBits is the one bit pattern every NaN hashes as: Identical treats
 	// all NaNs as one value, whatever their payload.
 	nanBits = 0x7ff8000000000001
 )
 
-// mix folds one word into a running hash.
+// floatBits returns the bits both hashes read for a float: 0 for +0 and
+// −0, nanBits for every NaN, the IEEE bits otherwise.
+func floatBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return nanBits
+	}
+	return math.Float64bits(f)
+}
+
+// mix folds one word into a running fixed-seed hash.
 func mix(h, x uint64) uint64 {
 	h = (h ^ x) * hashMul
 	return h ^ h>>32
@@ -35,25 +136,15 @@ func finish(h uint64) uint64 {
 	return h ^ h>>33
 }
 
-// hashInto folds v into a running hash. Kinds are hashed apart (Int(1) and
-// Float(1) are not Identical), +0 and −0 alike and every NaN alike (they
-// are), and strings with their length first, so no choice of string
-// contents makes two different splits of the same bytes collide by
-// construction.
-func (v Value) hashInto(h uint64) uint64 {
+// shardInto folds v into a running fixed-seed hash: its kind, then its
+// payload, strings with their length first.
+func (v Value) shardInto(h uint64) uint64 {
 	h = mix(h, uint64(v.kind))
 	switch v.kind {
 	case KindBool, KindInt:
 		return mix(h, uint64(v.i))
 	case KindFloat:
-		bits := math.Float64bits(v.f)
-		switch {
-		case v.f == 0:
-			bits = 0
-		case v.f != v.f:
-			bits = nanBits
-		}
-		return mix(h, bits)
+		return mix(h, floatBits(v.f))
 	case KindString:
 		s := v.s
 		h = mix(h, uint64(len(s)))
@@ -72,20 +163,23 @@ func (v Value) hashInto(h uint64) uint64 {
 	return h
 }
 
-// Hash returns the tuple's 64-bit hash. Identical tuples have equal hashes.
-func (t Tuple) Hash() uint64 {
-	h := uint64(hashSeed)
+// ShardHash returns the tuple's fixed-seed hash, the same in every
+// process. Identical tuples have equal shard hashes. It is for shard
+// assignment only: being predictable, it must never key an Index.
+func (t Tuple) ShardHash() uint64 {
+	h := uint64(shardSeed)
 	for _, v := range t {
-		h = v.hashInto(h)
+		h = v.shardInto(h)
 	}
 	return finish(h)
 }
 
-// HashCols returns t.Project(idxs).Hash() without building the projection.
-func (t Tuple) HashCols(idxs []int) uint64 {
-	h := uint64(hashSeed)
+// ShardHashCols returns t.Project(idxs).ShardHash() without building the
+// projection.
+func (t Tuple) ShardHashCols(idxs []int) uint64 {
+	h := uint64(shardSeed)
 	for _, j := range idxs {
-		h = t[j].hashInto(h)
+		h = t[j].shardInto(h)
 	}
 	return finish(h)
 }
@@ -191,4 +285,15 @@ func (x *Index) Find(h uint64, ts []Tuple, idxs []int, t Tuple, tIdxs []int) int
 		}
 	}
 	return -1
+}
+
+// FindOrAdd is Find, except that when no position matches it adds position
+// len(ts) to h's chain and reports added; the caller then appends the new
+// tuple to ts.
+func (x *Index) FindOrAdd(h uint64, ts []Tuple, idxs []int, t Tuple, tIdxs []int) (pos int, added bool) {
+	if p := x.Find(h, ts, idxs, t, tIdxs); p >= 0 {
+		return p, false
+	}
+	x.Add(h, len(ts))
+	return len(ts), true
 }

@@ -38,8 +38,9 @@ func TestHashAgreesWithIdenticalOnFloats(t *testing.T) {
 				t.Fatalf("Identical is not symmetric")
 			}
 			ta, tb := NewTuple(c.a), NewTuple(c.b)
-			if c.identical && ta.Hash() != tb.Hash() {
-				t.Fatalf("identical values hash apart: %x vs %x", ta.Hash(), tb.Hash())
+			if c.identical && (ta.Hash() != tb.Hash() || ta.ShardHash() != tb.ShardHash()) {
+				t.Fatalf("identical values hash apart: %x vs %x (shard %x vs %x)",
+					ta.Hash(), tb.Hash(), ta.ShardHash(), tb.ShardHash())
 			}
 			r := NewRelation("r", NewSchema(Attr("x", KindFloat)))
 			r.Append(ta)
@@ -111,6 +112,80 @@ func TestSeparatorTuplesStayDistinct(t *testing.T) {
 	}
 }
 
+// shardCollisions returns n distinct (Int a, Int b) tuples that all share
+// one ShardHash. The fixed-seed hash folds b in last, as mix(P(a), b), where
+// P(a) — the state after a and b's kind — is computable from a alone; so
+// b = P(a) ^ P(0) leaves every row in the state of (0, 0).
+func shardCollisions(n int) []Tuple {
+	pre := func(a int64) uint64 { return mix(Int(a).shardInto(shardSeed), uint64(KindInt)) }
+	out := make([]Tuple, n)
+	for a := range out {
+		out[a] = NewTuple(Int(int64(a)), Int(int64(pre(int64(a))^pre(0))))
+	}
+	return out
+}
+
+// Rows crafted to collide under the predictable shard hash must not share
+// index hashes: the index hash is seeded per process, so no chain of an
+// Index over them grows past one.
+func TestIndexHashResistsCraftedCollisions(t *testing.T) {
+	rows := shardCollisions(5000)
+	for _, r := range rows[1:] {
+		if r.ShardHash() != rows[0].ShardHash() {
+			t.Fatalf("crafted rows %v and %v do not share a shard hash", rows[0], r)
+		}
+	}
+	idx := NewIndex(len(rows))
+	for i, r := range rows {
+		idx.Add(r.Hash(), i)
+	}
+	for i, r := range rows {
+		if n := chainLen(idx, r.Hash()); n != 1 {
+			t.Fatalf("row %d (%v) shares its index chain with %d other rows", i, r, n-1)
+		}
+	}
+	r := NewRelation("r", NewSchema(Attr("a", KindInt), Attr("b", KindInt)))
+	for _, row := range rows {
+		r.Append(row)
+	}
+	if n := r.Dedup().Len(); n != len(rows) {
+		t.Fatalf("Dedup kept %d of %d distinct rows", n, len(rows))
+	}
+}
+
+func chainLen(x *Index, h uint64) int {
+	n := 0
+	for p := x.First(h); p >= 0; p = x.Next(p) {
+		n++
+	}
+	return n
+}
+
+// Wide tuples are hashed a chunk at a time; the chunks must chain, so
+// tuples differing only in an early chunk hash apart, and a projection
+// still hashes like HashCols.
+func TestHashChainsWideTuples(t *testing.T) {
+	wide := func(first int64) Tuple {
+		var tup Tuple
+		for i := int64(0); i < 3*hashWords+1; i++ {
+			tup = append(tup, Int(i))
+		}
+		tup[0] = Int(first)
+		return tup
+	}
+	a, b := wide(0), wide(1)
+	if a.Hash() == b.Hash() {
+		t.Fatal("wide tuples differing in the first column share a hash")
+	}
+	if !a.Identical(wide(0)) || a.Hash() != wide(0).Hash() {
+		t.Fatal("identical wide tuples hash apart")
+	}
+	idxs := []int{3 * hashWords, 0, 5, 2 * hashWords}
+	if a.HashCols(idxs) != a.Project(idxs).Hash() {
+		t.Fatal("HashCols of a wide tuple differs from its projection's Hash")
+	}
+}
+
 // decodeTuple turns fuzz bytes into a tuple: per value, a kind byte and
 // then its payload (bool: 1 byte; int and float: 8 bytes; string: a length
 // byte and that many bytes). Missing payload bytes read as zero.
@@ -121,7 +196,7 @@ func decodeTuple(data []byte) Tuple {
 		data = data[copy(b, data):]
 		return b
 	}
-	for len(data) > 0 && len(t) < 8 {
+	for len(data) > 0 && len(t) < 2*hashWords {
 		k := Kind(data[0] % 5)
 		data = data[1:]
 		switch k {
@@ -164,8 +239,9 @@ func encodeTuple(t Tuple) []byte {
 }
 
 // FuzzTupleHash checks the contract every hash table in the module rests
-// on: identical tuples hash alike, a projection hashes like HashCols, and an
-// Index probe finds exactly what a linear Identical scan finds.
+// on: identical tuples hash alike under both hashes, a projection hashes
+// like HashCols and ShardHashCols, and an Index probe finds exactly what a
+// linear Identical scan finds.
 func FuzzTupleHash(f *testing.F) {
 	f.Add(encodeTuple(sepTupleA), encodeTuple(sepTupleB))
 	f.Add(encodeTuple(NewTuple(Float(0))), encodeTuple(NewTuple(Float(math.Copysign(0, -1)))))
@@ -174,14 +250,14 @@ func FuzzTupleHash(f *testing.F) {
 	f.Add(encodeTuple(NewTuple(Int(1), Null())), encodeTuple(NewTuple(Float(1), Null())))
 	f.Fuzz(func(t *testing.T, x, y []byte) {
 		a, b := decodeTuple(x), decodeTuple(y)
-		if a.Identical(b) && a.Hash() != b.Hash() {
+		if a.Identical(b) && (a.Hash() != b.Hash() || a.ShardHash() != b.ShardHash()) {
 			t.Fatalf("identical tuples %v and %v hash apart", a, b)
 		}
 		idxs := make([]int, 0, len(a))
 		for i := len(a) - 1; i >= 0; i -= 2 {
 			idxs = append(idxs, i)
 		}
-		if a.HashCols(idxs) != a.Project(idxs).Hash() {
+		if a.HashCols(idxs) != a.Project(idxs).Hash() || a.ShardHashCols(idxs) != a.Project(idxs).ShardHash() {
 			t.Fatalf("HashCols(%v) of %v differs from the projection's Hash", idxs, a)
 		}
 		if !a.IdenticalCols(idxs, a.Project(idxs), nil) {
@@ -213,4 +289,24 @@ func FuzzTupleHash(f *testing.F) {
 			}
 		}
 	})
+}
+
+func BenchmarkTupleHash(b *testing.B) {
+	tuples := map[string]Tuple{
+		"two-ints":    NewTuple(Int(7), Int(42)),
+		"course-row":  NewTuple(String("Mary"), String("CS"), Int(216), String("Fall"), Float(3.5)),
+		"long-string": NewTuple(String("an attribute value longer than one chunk of eight bytes")),
+	}
+	for name, t := range tuples {
+		b.Run(name+"/Hash", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t.Hash()
+			}
+		})
+		b.Run(name+"/ShardHash", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t.ShardHash()
+			}
+		})
+	}
 }

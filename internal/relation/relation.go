@@ -60,11 +60,9 @@ func (r *Relation) Dedup() *Relation {
 	out := NewRelation(r.Name, r.Schema)
 	idx := NewIndex(len(r.Tuples))
 	for i, t := range r.Tuples {
-		h := t.Hash()
-		if idx.Find(h, out.Tuples, nil, t, nil) >= 0 {
+		if _, added := idx.FindOrAdd(t.Hash(), out.Tuples, nil, t, nil); !added {
 			continue
 		}
-		idx.Add(h, out.Len())
 		if len(r.IDs) > 0 {
 			out.AppendWithID(t, r.IDs[i])
 		} else {
@@ -98,11 +96,12 @@ func (r *Relation) SetDiff(o *Relation) *Relation {
 	seen := NewIndex(len(r.Tuples))
 	for _, t := range r.Tuples {
 		h := t.Hash()
-		if other.Find(h, o.Tuples, nil, t, nil) >= 0 || seen.Find(h, out.Tuples, nil, t, nil) >= 0 {
+		if other.Find(h, o.Tuples, nil, t, nil) >= 0 {
 			continue
 		}
-		seen.Add(h, out.Len())
-		out.Append(t)
+		if _, added := seen.FindOrAdd(h, out.Tuples, nil, t, nil); added {
+			out.Append(t)
+		}
 	}
 	return out
 }

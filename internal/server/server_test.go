@@ -14,6 +14,7 @@ import (
 
 	"repro"
 	"repro/internal/course"
+	"repro/internal/relation"
 )
 
 const (
@@ -517,5 +518,54 @@ relation T(c: int, d: int)
 	}
 	if resp.Plan == nil || len(resp.Plan.Q1) == 0 || !resp.Plan.Q1[0].Planned {
 		t.Fatalf("inline explain_plan missing or unplanned: %+v", resp.Plan)
+	}
+}
+
+// shardCollidingRows renders n distinct rows of R(a: int, b: int) that all
+// share one relation.Tuple.ShardHash, the predictable fixed-seed hash. That
+// hash folds b in last as mix(P(a), b), with P(a) — the state after a and
+// b's kind — computable from a alone, so b = P(a) ^ P(0) puts every row in
+// the state of (0, 0). The rows are checked to collide before use.
+func shardCollidingRows(t *testing.T, n int) string {
+	t.Helper()
+	const seed, mul, kindInt = 0x243f6a8885a308d3, 0x9e3779b97f4a7c15, 2
+	mix := func(h, x uint64) uint64 {
+		h = (h ^ x) * mul
+		return h ^ h>>32
+	}
+	pre := func(a int64) uint64 { return mix(mix(mix(seed, kindInt), uint64(a)), kindInt) }
+	var sb strings.Builder
+	sb.WriteString("relation R(a: int, b: int)\n")
+	var first uint64
+	for a := int64(0); a < int64(n); a++ {
+		b := int64(pre(a) ^ pre(0))
+		if h := relation.NewTuple(relation.Int(a), relation.Int(b)).ShardHash(); a == 0 {
+			first = h
+		} else if h != first {
+			t.Fatalf("crafted row (%d, %d) does not share the shard hash of (0, 0)", a, b)
+		}
+		fmt.Fprintf(&sb, "%d, %d\n", a, b)
+	}
+	return sb.String()
+}
+
+// An inline instance of rows crafted to share one predictable hash must be
+// handled in linear time: were the engine's indexes keyed by that hash,
+// every row would land on one chain and deduplicating the base scan alone
+// would take quadratically many comparisons, none of which polls the
+// request budget.
+func TestCraftedCollidingRowsStayWithinBudget(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	data := shardCollidingRows(t, 50_000)
+	var resp ExplainResponse
+	start := time.Now()
+	code := postJSON(t, ts.URL+"/explain", ExplainRequest{
+		Q1: "R", Q2: "select[a > 0](R)", Instance: InstanceSpec{Kind: "inline", Data: data}, TimeoutMS: 5000,
+	}, &resp)
+	if code != http.StatusOK || resp.Status != StatusOK {
+		t.Fatalf("explain = %d / %q (%s) after %v, want 200 / ok", code, resp.Status, resp.Error, time.Since(start))
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("explain took %v on a 5s budget", d)
 	}
 }
