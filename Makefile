@@ -1,5 +1,7 @@
-# Targets mirror the CI jobs in .github/workflows/ci.yml so that a green
-# `make lint test race bench-smoke` locally means a green CI run.
+# The one definition of the lint, test, race, bench and fuzz smoke steps: the
+# CI jobs in .github/workflows/ci.yml run these targets, so a green
+# `make lint test race bench-smoke fuzz-smoke` locally means a green CI run
+# of those steps.
 
 GO ?= go
 RATESTLINT := $(shell $(GO) env GOPATH)/bin/ratestlint
@@ -22,11 +24,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of the batch, delta, planner, IVM and session benchmarks:
-# compile-and-run smoke plus their embedded equivalence guards. CI runs
-# this target, so this is the one definition of the smoke set.
+# One iteration of the delta, planner, IVM and session benchmarks:
+# compile-and-run smoke plus their embedded equivalence guards.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Batch|PreparedDiff|Planner|ApplyDelta' -benchtime 1x ./internal/engine/...
+	$(GO) test -run '^$$' -bench 'PreparedDiff|Planner|ApplyDelta' -benchtime 1x ./internal/engine/...
 	$(GO) test -run '^$$' -bench 'Session' -benchtime 1x ./internal/core/...
 
 # A short run of the tuple-hash fuzz target (Identical ⇒ equal hashes;

@@ -178,11 +178,8 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 
 	fks := p.ForeignKeys()
 	t0 = time.Now()
-	// Solve every candidate group first, then accept/reject the solved
-	// candidates together through the batch layer. Aggregate plans (and
-	// parameterized candidates) make verifyCandidates fall back to
-	// per-candidate Verify — the γ fallback of the batched accept-reject —
-	// so the decisions match the old one-at-a-time loop exactly.
+	// Solve every candidate group first, then verify the solved candidates
+	// one by one: each carries its own parameter setting and query rewrite.
 	var pending []*Counterexample
 	for _, c := range cands {
 		if err := p.interrupted(); err != nil {
@@ -233,7 +230,7 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		Ctx: p.Ctx, MaxConflicts: p.MaxConflicts, MaxRows: p.MaxRows}
 	// The aggregate candidates carry their own parameter settings, which the
 	// per-problem prepared state cannot answer: no shared checker here.
-	oks := verifyCandidates(verifyProblem, nil, pending)
+	oks := verifyCandidates(verifyProblem, pending)
 	var best *Counterexample
 	for i, ce := range pending {
 		if !oks[i] {
@@ -253,6 +250,20 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	}
 	stats.WitnessSize = best.Size()
 	return best, stats, nil
+}
+
+// verifyCandidates reports Verify success for each prebuilt candidate
+// counterexample. An expired budget rejects the remaining candidates; the
+// callers' no-result paths then surface the budget error.
+func verifyCandidates(p Problem, ces []*Counterexample) []bool {
+	out := make([]bool, len(ces))
+	for i, ce := range ces {
+		if p.interrupted() != nil {
+			break
+		}
+		out[i] = ce != nil && Verify(p, ce) == nil
+	}
+	return out
 }
 
 // evalAggProvHaving computes aggregate provenance, using symParams for the
@@ -566,11 +577,9 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		Ctx: p.Ctx, MaxConflicts: p.MaxConflicts, MaxRows: p.MaxRows}
 	var result *Counterexample
 	// The model loop stays adaptive — each candidate's acceptance decides
-	// whether the solver enumerates another model, so verifying one at a
-	// time (stopping at the first success) beats any batch width here.
-	// Batching would not help anyway: every candidate carries its own
-	// chosen HAVING parameters and query rewrites, the case the batch
-	// layer's γ fallback hands back to per-candidate Verify.
+	// whether the solver enumerates another model, so candidates are
+	// verified one at a time, stopping at the first success. Every candidate
+	// carries its own chosen HAVING parameters and query rewrites.
 	err = forEachWitnessModel(b, counted, varToID, maxRetries, p.stopFunc(), func(ids []int) bool {
 		stats.ModelsTried++
 		closed, ferr := fkClose(ids, p.DB, fks)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/relation"
@@ -174,5 +176,45 @@ func TestAggBasicAgreeingQueries(t *testing.T) {
 	p := Problem{Q1: testdb.AggQ1(), Q2: testdb.AggQ1(), DB: testdb.Example1DB()}
 	if _, _, err := AggBasic(p, AggOptions{}); err == nil {
 		t.Error("agreeing aggregate queries should error")
+	}
+}
+
+// TestVerifyCandidatesFallback: verifyCandidates gives exactly Verify's
+// answer for every candidate, including candidates that carry their own
+// parameter settings, and rejects all of them once the budget has expired.
+func TestVerifyCandidatesFallback(t *testing.T) {
+	p := example1Problem()
+	rng := rand.New(rand.NewSource(5))
+	idSets := append(randomIDSets(rng, p.DB, 6), []int{1, 4, 5})
+	var ces []*Counterexample
+	for i, ids := range idSets {
+		sub, tids := subinstanceFromIDs(p.DB, ids)
+		ce := &Counterexample{DB: sub, IDs: tids}
+		if i%2 == 0 {
+			ce.Params = map[string]relation.Value{}
+		}
+		ces = append(ces, ce)
+	}
+	got := verifyCandidates(p, ces)
+	accepted := 0
+	for i, ce := range ces {
+		want := Verify(p, ce) == nil
+		if got[i] != want {
+			t.Errorf("candidate %d: verifyCandidates=%v Verify=%v", i, got[i], want)
+		}
+		if want {
+			accepted++
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no candidate accepted — the known witness {1,4,5} should verify")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p.Ctx = ctx
+	for i, ok := range verifyCandidates(p, ces) {
+		if ok {
+			t.Errorf("candidate %d accepted after the budget expired", i)
+		}
 	}
 }

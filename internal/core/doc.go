@@ -33,14 +33,14 @@
 //
 // The search algorithms funnel their "do Q1 and Q2 still disagree on this
 // subinstance" questions through a per-problem checker that routes each
-// candidate to the cheapest evaluation path: candidates whose deletion
+// candidate to one of two evaluation paths: candidates whose deletion
 // delta is at most a quarter of |D| (maxDeltaFraction) go through the
-// retained-state delta evaluation (engine.PrepareDiff / EvalDelta);
-// witness-sized candidates go through the batched bitvector layer
-// ([DisagreeBatch] / [VerifyBatch], chunked at 256 candidates); γ plans
-// and row-budget overruns fall back to per-candidate evaluation. The
-// routing changes cost only — accept/reject decisions are identical on
-// every path.
+// retained-state delta evaluation (engine.PrepareDiff / ApplyDelta); every
+// other candidate — and every candidate when the plan pair could not be
+// prepared or a delta evaluation fails — is materialized as a subinstance
+// ([relation.Database.Subinstance], O(k log k) in the kept set) and
+// evaluated from scratch. The routing changes cost only — accept/reject
+// decisions are identical on both paths.
 //
 // Solvers live below this package: internal/sat (CDCL), internal/minones
 // (min-ones enumeration/optimization), internal/smt (symbolic aggregate

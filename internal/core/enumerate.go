@@ -19,13 +19,13 @@ import (
 // global optimum size k* across every differing tuple, then enumerates all
 // witnesses of size k* with the SAT solver.
 //
-// Candidate acceptance is batched: the SAT models of every witness case are
-// decoded and deduplicated first, then verified together through
-// VerifyBatch — one bitvector-semiring engine pass per ~64 candidates
-// instead of a fresh subinstance evaluation each. Witness cases whose CNF
+// The SAT models of every witness case are decoded and deduplicated first,
+// then checked in order through the shared checker (the retained delta
+// state for near-full candidates, a fresh evaluation of the witness-sized
+// subinstance otherwise) until max are accepted. Witness cases whose CNF
 // duplicates an earlier case's are skipped outright (identical formulas
 // enumerate identical models, which the id-set dedup would discard anyway),
-// saving both the solver enumeration and the redundant Verify work.
+// saving both the solver enumeration and the redundant verification work.
 func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 	if max <= 0 {
 		max = 64
@@ -34,9 +34,8 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 		return nil, err
 	}
 	// One prepared evaluation serves the whole enumeration: its retained
-	// state provides the base diffs here and answers the candidate
-	// disagreement checks below (batched for witness-sized candidates,
-	// delta-incremental for near-full ones).
+	// state provides the base diffs here and answers the near-full
+	// candidates' disagreement checks below.
 	chk, err := newChecker(p)
 	if err != nil {
 		return nil, err
@@ -109,7 +108,7 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 	}
 
 	// Collect every fresh candidate id-set across the optimal cases, then
-	// verify them in one batch.
+	// verify them in order until max are accepted.
 	type candidate struct {
 		ids []int
 		t   relation.Tuple
@@ -136,21 +135,20 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 			pending = append(pending, candidate{ids: ids, t: c.t})
 		}
 	}
-	idSets := make([][]int, len(pending))
-	for i, c := range pending {
-		idSets[i] = c.ids
-	}
-	ces, err := verifyBatchWith(p, chk, idSets)
-	if err != nil {
-		return nil, err
-	}
 	var out []*Counterexample
-	for i, ce := range ces {
-		if ce == nil {
+	for _, c := range pending {
+		differs, err := chk.disagree(c.ids)
+		if err != nil {
+			return nil, err
+		}
+		if !differs {
 			continue
 		}
-		ce.Witness = pending[i].t
-		out = append(out, ce)
+		sub, tids := subinstanceFromIDs(p.DB, c.ids)
+		if !sub.SubinstanceOf(p.DB) || !constraintsHold(p, sub) {
+			continue
+		}
+		out = append(out, &Counterexample{DB: sub, IDs: tids, Witness: c.t})
 		if len(out) >= max {
 			break
 		}

@@ -234,10 +234,9 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 
 	t0 = time.Now()
 	// Enumerate every combination's (FK-closed) id union first, then check
-	// them all with the batched accept-reject layer: one bitvector engine
-	// pass per chunk of candidates instead of a fresh subinstance
-	// evaluation per combination. Only candidates that both disagree and
-	// improve on the current best are materialized as databases.
+	// them smallest first through the shared checker (the retained delta
+	// state for near-full unions, a fresh evaluation of the subinstance
+	// otherwise) until a disagreeing one verifies.
 	var combos [][]int
 	seen := map[string]bool{}
 	var scratch []byte
@@ -284,10 +283,6 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 			break
 		}
 	}
-	disagree, err := disagreeOn(p, chk, combos)
-	if err != nil {
-		return nil, nil, err
-	}
 	// Smallest-first, ties in enumeration order — the same candidate the
 	// incremental best-tracking loop used to settle on (fkClose returns
 	// deduplicated ids, so len(ids) is the subinstance size).
@@ -298,7 +293,11 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 	sort.SliceStable(order, func(a, b int) bool { return len(combos[order[a]]) < len(combos[order[b]]) })
 	var best *Counterexample
 	for _, i := range order {
-		if !disagree[i] {
+		differs, err := chk.disagree(combos[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		if !differs {
 			continue
 		}
 		sub, tids := subinstanceFromIDs(p.DB, combos[i])

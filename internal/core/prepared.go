@@ -13,15 +13,15 @@ import (
 // search: a checker owns one engine.PreparedDiff per (Q1, Q2, D) problem and
 // routes each candidate accept/reject question to whichever evaluation path is
 // cheapest — the retained-state deletion delta for candidates close to the
-// base instance, the bitvector batch layer for the witness-sized ones — and
-// ShrinkGreedy turns the committed-delta mode into a solver-free
-// counterexample minimizer (one O(|Δ|) evaluation per deletion attempt
-// instead of a full re-evaluation).
+// base instance, a fresh evaluation of the materialized subinstance for the
+// witness-sized ones — and ShrinkGreedy turns the committed-delta mode into a
+// solver-free counterexample minimizer (one O(|Δ|) evaluation per deletion
+// attempt instead of a full re-evaluation).
 
 // maxDeltaFraction bounds the delta path: a candidate whose deletion delta
 // exceeds this fraction of the base instance pays more in delta propagation
-// (O(|Δ| × operator fanout)) than a fresh batched evaluation would, so it
-// falls back to the batch/per-candidate path.
+// (O(|Δ| × operator fanout)) than evaluating its subinstance from scratch
+// would, so it takes the subinstance path.
 const maxDeltaFraction = 0.25
 
 // checker carries the per-problem evaluation state the search algorithms
@@ -60,60 +60,50 @@ func newChecker(p Problem) (*checker, error) {
 	return c, nil
 }
 
-// disagree reports, per candidate subinstance (a kept-id set over D),
-// whether Q1 and Q2 disagree on it — DisagreeBatch's contract, with
-// near-full candidates answered by the retained delta state instead of a
-// fresh engine pass.
-func (c *checker) disagree(idSets [][]int) ([]bool, error) {
+// disagree reports whether Q1 and Q2 disagree on one candidate subinstance
+// (a kept-id set over D). A candidate that removes at most
+// maxDeltaFraction·|D| tuples is answered by the retained delta state; every
+// other candidate — and every candidate when there is no usable prepared
+// state — is materialized and evaluated from scratch. Callers check their
+// candidates one at a time, so a search stops evaluating at its answer.
+func (c *checker) disagree(ids []int) (bool, error) {
+	// Each candidate can cost a full evaluation; honor the request budget
+	// between candidates.
+	if err := c.p.interrupted(); err != nil {
+		return false, err
+	}
+	kept := make(map[relation.TupleID]bool, len(ids))
+	for _, id := range ids {
+		kept[relation.TupleID(id)] = true
+	}
+	if differs, ok := c.disagreeByDelta(kept); ok {
+		return differs, nil
+	}
+	differs, _, _, err := c.p.disagrees(c.p.DB.Subinstance(kept))
+	return differs, err
+}
+
+// disagreeByDelta answers one candidate from the retained delta state. ok is
+// false when the state is gone or rebased, when the removed set exceeds
+// maxDeltaFraction·|D|, or when the delta evaluation fails: such errors are
+// candidate-specific (e.g. a predicate failing on a resurrected tuple), so
+// the caller evaluates the subinstance instead.
+func (c *checker) disagreeByDelta(kept map[relation.TupleID]bool) (differs, ok bool) {
 	if c.prep == nil || c.prep.Epoch() != 0 {
-		return DisagreeBatch(c.p, idSets)
+		return false, false
 	}
-	out := make([]bool, len(idSets))
+	// Route on the deduplicated kept count: a raw id list over-counts
+	// duplicates, which would under-estimate the removed set and let an
+	// over-budget delta slip through to the delta path.
 	base := c.prep.BaseSize()
-	budget := int(maxDeltaFraction * float64(base))
-	var batchIdx []int
-	var batchSets [][]int
-	kept := map[relation.TupleID]bool{}
-	for i, ids := range idSets {
-		// Each iteration can run a full delta evaluation; honor the
-		// request budget between candidates.
-		if err := c.p.interrupted(); err != nil {
-			return nil, err
-		}
-		// Route on the deduplicated kept count: len(ids) over-counts
-		// duplicates, which would under-estimate the removed set and let an
-		// over-budget delta slip through to the delta path.
-		for k := range kept {
-			delete(kept, k)
-		}
-		for _, id := range ids {
-			kept[relation.TupleID(id)] = true
-		}
-		if base-len(kept) > budget {
-			batchIdx = append(batchIdx, i)
-			batchSets = append(batchSets, ids)
-			continue
-		}
-		res, err := c.prep.EvalDelta(c.complementSet(kept))
-		if err != nil {
-			// Delta-time evaluation errors (e.g. a predicate failing on a
-			// resurrected tuple) are candidate-specific: fall back.
-			batchIdx = append(batchIdx, i)
-			batchSets = append(batchSets, ids)
-			continue
-		}
-		out[i] = res.Disagrees()
+	if base-len(kept) > int(maxDeltaFraction*float64(base)) {
+		return false, false
 	}
-	if len(batchSets) > 0 {
-		bs, err := DisagreeBatch(c.p, batchSets)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range batchIdx {
-			out[i] = bs[j]
-		}
+	res, err := c.prep.ApplyDelta(c.complementSet(kept), nil)
+	if err != nil {
+		return false, false
 	}
-	return out, nil
+	return res.Disagrees(), true
 }
 
 // complementSet turns a kept-id set into the removed-id delta against D.
@@ -247,7 +237,7 @@ func ShrinkGreedy(p Problem) (*Counterexample, *Stats, error) {
 				if !guard.removable(id) {
 					continue
 				}
-				res, err := prep.EvalDelta([]relation.TupleID{id})
+				res, err := prep.ApplyDelta([]relation.TupleID{id}, nil)
 				if err != nil {
 					// Delta-time evaluation errors are candidate-specific
 					// (e.g. a predicate failing on a resurrected tuple):

@@ -79,10 +79,10 @@ func courseConstraints() []relation.Constraint {
 }
 
 // TestCheckerAdaptiveMatchesPerCandidate: the checker's adaptive routing —
-// witness-sized candidates through the batch layer, near-full candidates
-// through the prepared delta state — produces exactly the per-candidate
-// accept/reject decisions, including when the two paths interleave within
-// one call (the EnumerateSmallest coexistence scenario).
+// witness-sized candidates through a fresh subinstance evaluation, near-full
+// candidates through the prepared delta state — produces exactly the
+// per-candidate accept/reject decisions, including when the two paths
+// interleave on one checker (the EnumerateSmallest coexistence scenario).
 func TestCheckerAdaptiveMatchesPerCandidate(t *testing.T) {
 	p := courseProblem(t, 300)
 	chk, err := newChecker(p)
@@ -95,7 +95,7 @@ func TestCheckerAdaptiveMatchesPerCandidate(t *testing.T) {
 	all := p.DB.AllIDs()
 	rng := rand.New(rand.NewSource(11))
 	var idSets [][]int
-	// Witness-sized candidates (batch path) interleaved with near-full ones
+	// Witness-sized candidates (subinstance path) interleaved with near-full ones
 	// (delta path): drop a handful of random ids from D.
 	for i := 0; i < 8; i++ {
 		var small []int
@@ -117,19 +117,77 @@ func TestCheckerAdaptiveMatchesPerCandidate(t *testing.T) {
 	}
 	// Repeated calls must not corrupt the shared prepared state.
 	for round := 0; round < 3; round++ {
-		got, err := chk.disagree(idSets)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for k, ids := range idSets {
+			got, err := chk.disagree(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sub, _ := subinstanceFromIDs(p.DB, ids)
 			want, _, _, err := Disagrees(p.Q1, p.Q2, sub, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got[k] != want {
+			if got != want {
 				t.Errorf("round %d candidate %d (|kept|=%d): checker=%v per-candidate=%v",
-					round, k, len(ids), got[k], want)
+					round, k, len(ids), got, want)
+			}
+		}
+	}
+}
+
+// randomIDSets draws n random subsets of the database's tuple ids.
+func randomIDSets(rng *rand.Rand, db *relation.Database, n int) [][]int {
+	all := db.AllIDs()
+	out := make([][]int, n)
+	for i := range out {
+		for _, id := range all {
+			if rng.Intn(2) == 0 {
+				out[i] = append(out[i], int(id))
+			}
+		}
+	}
+	return out
+}
+
+// TestCheckerRandomCandidatesMatchPerCandidate: random candidates over the
+// running example and over a γ pair get exactly the per-candidate
+// decisions, from a live checker and from a released one (whose candidates
+// all take the subinstance path). The sets include the empty candidate and
+// the full one with duplicated ids.
+func TestCheckerRandomCandidatesMatchPerCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, p := range []Problem{
+		example1Problem(),
+		{Q1: testdb.AggQ1(), Q2: testdb.AggQ2(), DB: testdb.Example1DB()},
+	} {
+		for _, release := range []bool{false, true} {
+			chk, err := newChecker(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if release {
+				chk.release()
+			}
+			idSets := randomIDSets(rng, p.DB, 40)
+			all := randomIDSets(rng, p.DB, 1)[0]
+			for _, id := range p.DB.AllIDs() {
+				all = append(all, int(id))
+			}
+			idSets = append(idSets, nil, all)
+			for k, ids := range idSets {
+				got, err := chk.disagree(ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sub, _ := subinstanceFromIDs(p.DB, ids)
+				want, _, _, err := Disagrees(p.Q1, p.Q2, sub, p.Params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s released=%v candidate %d (%v): checker=%v per-candidate=%v",
+						p.Q1, release, k, ids, got, want)
+				}
 			}
 		}
 	}

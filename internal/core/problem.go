@@ -190,6 +190,16 @@ func Verify(p Problem, ce *Counterexample) error {
 	return nil
 }
 
+// constraintsHold reports whether db satisfies every problem constraint.
+func constraintsHold(p Problem, db *relation.Database) bool {
+	for _, c := range p.Constraints {
+		if err := c.Validate(db); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // Disagrees evaluates both queries on db under params and reports whether
 // their results differ, along with the difference tuples Q1\Q2 and Q2\Q1.
 func Disagrees(q1, q2 ra.Node, db *relation.Database, params map[string]relation.Value) (bool, *relation.Relation, *relation.Relation, error) {

@@ -239,12 +239,13 @@ type Explained struct {
 // queries that differ from their reference solution on db, then enumerate
 // up to maxEach smallest counterexamples for each discovered query.
 // Candidate verification inside the enumeration goes through one prepared
-// delta-incremental evaluation per (correct, wrong) pair, which also backs
-// the batched bitvector-semiring accept/reject checks; queries whose
-// enumeration exhausts its solver budget fall back to the solver-free
-// greedy shrink (core.ShrinkGreedy), so a discovered mistake still ships
-// with a 1-minimal counterexample. The per-query enumerations fan out over
-// the worker pool with deterministic output order.
+// delta-incremental evaluation per (correct, wrong) pair, which answers the
+// near-full candidates; witness-sized ones are evaluated on their
+// materialized subinstances. Queries whose enumeration exhausts its solver
+// budget fall back to the solver-free greedy shrink (core.ShrinkGreedy), so
+// a discovered mistake still ships with a 1-minimal counterexample. The
+// per-query enumerations fan out over the worker pool with deterministic
+// output order.
 func ExplainDiscovered(db *relation.Database, bank []WrongQuery, maxEach int) ([]Explained, error) {
 	found, err := DiscoveredWrong(db, bank)
 	if err != nil {

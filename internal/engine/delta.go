@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the update half of the delta subsystem: ApplyDelta generalizes
-// EvalDelta (deletions only, PR 4) to full incremental view maintenance over
+// deletion-only deltas to full incremental view maintenance over
 // signed counting-semiring deltas — deletions, insertions, and updates
 // expressed as delete+insert — in the style of Berkholz–Keppeler–Schweikardt's
 // FO+MOD-under-updates maintenance. The per-operator delta rules in
@@ -46,7 +46,7 @@ type Insert struct {
 // delta magnitudes stay ≤ 2³¹, the join rule's pairwise products stay
 // ≤ 2⁶², and every partial sum the accumulation loops can form stays well
 // inside the int64 range. PrepareDiff establishes the invariant (plans
-// beyond it fall back to batch evaluation) and ApplyDelta re-checks it
+// beyond it fall back to from-scratch evaluation) and ApplyDelta re-checks it
 // before any delta may be committed.
 const maxSafeCount = 1 << 30
 
@@ -65,12 +65,6 @@ func (c *deltaCtx) pollStep() error {
 // per request so a prepared object built under one request's budget does not
 // keep polling that request's expired context.
 func (p *PreparedDiff) SetStop(stop func() error) { p.opts.Stop = stop }
-
-// EvalDelta propagates the deletion of the given base tuples through the
-// retained operator DAG; it is ApplyDelta with no insertions.
-func (p *PreparedDiff) EvalDelta(removed []relation.TupleID) (*DeltaResult, error) {
-	return p.ApplyDelta(removed, nil)
-}
 
 // ApplyDelta propagates one signed update — deleting the given base tuples
 // and inserting the given new ones — through the retained operator DAG and

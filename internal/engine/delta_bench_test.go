@@ -1,11 +1,10 @@
 // Delta-incremental evaluation benchmarks: the course-workload sequential
 // shrink loop — remove one tuple per step, re-check Q1 − Q2 after every
-// removal — evaluated with the retained-state PreparedDiff (one EvalDelta +
-// Commit per step) against per-candidate EvalBatchDiffs re-evaluation (one
-// full bitvector engine pass per step; the steps are sequential, so they
-// cannot be batched together). This is the acceptance benchmark for the
-// delta subsystem (target: ≥5×); timings are exported to BENCH_delta.json
-// via the BENCH_DELTA_JSON env var.
+// removal — evaluated with the retained-state PreparedDiff (one deletion
+// ApplyDelta + Commit per step) against from-scratch re-evaluation (the live
+// subinstance materialized and both queries evaluated on it every step).
+// This is the acceptance benchmark for the delta subsystem (target: ≥5×);
+// timings are exported to BENCH_delta.json via the BENCH_DELTA_JSON env var.
 package engine_test
 
 import (
@@ -13,11 +12,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"testing"
 
 	"repro/internal/course"
 	"repro/internal/engine"
+	"repro/internal/ra"
 	"repro/internal/relation"
 )
 
@@ -40,7 +39,7 @@ func shrinkWorkload() (db *relation.Database, order []relation.TupleID) {
 type deltaBenchRow struct {
 	Steps           int     `json:"steps"`
 	PreparedNsPerOp float64 `json:"prepared_ns_per_op"`
-	BatchNsPerOp    float64 `json:"batch_ns_per_op"`
+	FreshNsPerOp    float64 `json:"fresh_ns_per_op"`
 	Speedup         float64 `json:"speedup"`
 }
 
@@ -57,13 +56,28 @@ func deltaBenchRowFor(steps int) *deltaBenchRow {
 
 var deltaShrinkSteps = []int{64, 256, 1024}
 
+// freshDiffs evaluates Q1 and Q2 from scratch on the subinstance of db kept
+// by keep and returns both differences.
+func freshDiffs(b *testing.B, q1, q2 ra.Node, db *relation.Database, keep map[relation.TupleID]bool) (*relation.Relation, *relation.Relation) {
+	sub := db.Subinstance(keep)
+	r1, err := engine.Eval(q1, sub, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r2, err := engine.Eval(q2, sub, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r1.SetDiff(r2), r2.SetDiff(r1)
+}
+
 // BenchmarkPreparedDiff times the shrink loop on the retained state: one
-// PrepareDiff, then per step one single-tuple EvalDelta plus Commit.
+// PrepareDiff, then per step one single-tuple deletion ApplyDelta plus Commit.
 func BenchmarkPreparedDiff(b *testing.B) {
 	db, order := shrinkWorkload()
 	q1, q2 := course.Questions()[3].Correct, course.Questions()[5].Correct
-	// Equivalence guard before timing: the delta decisions must match a
-	// fresh batched evaluation of the same kept set.
+	// Equivalence guard before timing: the delta differences must match a
+	// from-scratch evaluation of the same kept set.
 	p, err := engine.PrepareDiff(q1, q2, db, nil, engine.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -74,7 +88,7 @@ func BenchmarkPreparedDiff(b *testing.B) {
 	}
 	for i := 0; i < 256; i++ {
 		kept[order[i]] = false
-		res, err := p.EvalDelta(order[i : i+1])
+		res, err := p.ApplyDelta(order[i:i+1], nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,19 +98,10 @@ func BenchmarkPreparedDiff(b *testing.B) {
 		if i%32 != 0 {
 			continue
 		}
-		var cand []relation.TupleID
-		for id, live := range kept {
-			if live {
-				cand = append(cand, id)
-			}
-		}
-		sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
-		d12, d21, err := engine.EvalBatchDiffs(q1, q2, db, nil, [][]relation.TupleID{cand}, engine.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Disagrees() != (d12.NonEmpty(0) || d21.NonEmpty(0)) {
-			b.Fatalf("step %d: delta and batch disagree", i)
+		want12, want21 := freshDiffs(b, q1, q2, db, kept)
+		got12, got21 := p.Diffs()
+		if !got12.SetEqual(want12) || !got21.SetEqual(want21) {
+			b.Fatalf("step %d: delta and from-scratch differences disagree", i)
 		}
 	}
 	for _, steps := range deltaShrinkSteps {
@@ -108,7 +113,7 @@ func BenchmarkPreparedDiff(b *testing.B) {
 					b.Fatal(err)
 				}
 				for s := 0; s < steps; s++ {
-					res, err := p.EvalDelta(order[s : s+1])
+					res, err := p.ApplyDelta(order[s:s+1], nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -162,34 +167,26 @@ func BenchmarkApplyDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalBatchDiffs times the same shrink loop without retained
-// state: every step re-evaluates Q1 − Q2 / Q2 − Q1 on the current kept set
-// with one EvalBatchDiffs pass (K = 1; the steps are sequential — step s+1
-// depends on step s's answer — so they cannot share a batch).
-func BenchmarkEvalBatchDiffs(b *testing.B) {
+// BenchmarkShrinkFromScratch times the same shrink loop without retained
+// state: every step materializes the current kept subinstance and evaluates
+// Q1 and Q2 on it from scratch.
+func BenchmarkShrinkFromScratch(b *testing.B) {
 	db, order := shrinkWorkload()
 	q1, q2 := course.Questions()[3].Correct, course.Questions()[5].Correct
-	all := db.AllIDs()
 	for _, steps := range deltaShrinkSteps {
 		row := deltaBenchRowFor(steps)
 		b.Run(fmt.Sprintf("shrink/steps=%d", steps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gone := make(map[relation.TupleID]bool, steps)
+				kept := make(map[relation.TupleID]bool, db.Size())
+				for _, id := range db.AllIDs() {
+					kept[id] = true
+				}
 				for s := 0; s < steps; s++ {
-					gone[order[s]] = true
-					kept := make([]relation.TupleID, 0, len(all)-s-1)
-					for _, id := range all {
-						if !gone[id] {
-							kept = append(kept, id)
-						}
-					}
-					_, _, err := engine.EvalBatchDiffs(q1, q2, db, nil, [][]relation.TupleID{kept}, engine.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
+					kept[order[s]] = false
+					freshDiffs(b, q1, q2, db, kept)
 				}
 			}
-			row.BatchNsPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			row.FreshNsPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		})
 	}
 	if path := os.Getenv("BENCH_DELTA_JSON"); path != "" {
@@ -197,7 +194,7 @@ func BenchmarkEvalBatchDiffs(b *testing.B) {
 		for _, steps := range deltaShrinkSteps {
 			r := *deltaBenchRows[steps]
 			if r.PreparedNsPerOp > 0 {
-				r.Speedup = r.BatchNsPerOp / r.PreparedNsPerOp
+				r.Speedup = r.FreshNsPerOp / r.PreparedNsPerOp
 			}
 			rows = append(rows, r)
 		}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ra"
@@ -491,5 +492,48 @@ func TestIntersect(t *testing.T) {
 				t.Fatalf("trial %d: phantom tuple %v", trial, tup)
 			}
 		}
+	}
+}
+
+// TestScanCacheSelfJoin: the per-exec base-scan cache returns the same
+// relation object for repeated references without corrupting self-joins or
+// self-differences.
+func TestScanCacheSelfJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	db := randomDB(rng)
+	// R ⋈ R (self natural join on all columns ≡ R), R − R (empty), and
+	// (R ∪ R) ≡ R, all referencing the same cached scan.
+	r, err := Eval(&ra.Rel{Name: "R"}, db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selfJoin, err := Eval(&ra.Join{L: &ra.Rel{Name: "R"}, R: &ra.Rel{Name: "R"}}, db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NULLs never join, so the self natural join keeps exactly the
+	// NULL-free tuples of R.
+	var nullFree []relation.Tuple
+	for _, tup := range r.Tuples {
+		if !slices.ContainsFunc(tup, relation.Value.IsNull) {
+			nullFree = append(nullFree, tup)
+		}
+	}
+	if !sameKeySets(keySet(nullFree), keySet(selfJoin.Tuples)) {
+		t.Errorf("R ⋈ R ≠ NULL-free R under the scan cache")
+	}
+	selfDiff, err := Eval(&ra.Diff{L: &ra.Rel{Name: "R"}, R: &ra.Rel{Name: "R"}}, db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if selfDiff.Len() != 0 {
+		t.Errorf("R − R = %d tuples, want 0", selfDiff.Len())
+	}
+	selfUnion, err := Eval(&ra.Union{L: &ra.Rel{Name: "R"}, R: &ra.Rel{Name: "R"}}, db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameKeySets(keySet(r.Tuples), keySet(selfUnion.Tuples)) {
+		t.Errorf("R ∪ R ≠ R under the scan cache")
 	}
 }

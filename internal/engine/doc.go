@@ -15,24 +15,12 @@
 //     [EvalProv] / [EvalProvOpts] (γ is rejected: aggregate provenance goes
 //     through eval.EvalAggProv);
 //   - [Count] — derivation counting with saturating arithmetic, behind
-//     [CountDistinct] / [CountDistinctOpts];
-//   - [BitSemiring] / [WideBitSemiring] — the batch semirings below.
+//     [CountDistinct] / [CountDistinctOpts].
 //
 // New annotation domains (lineage sets, tropical costs, …) only need a
 // Semiring implementation; the logical and physical operators are shared.
 // Invariant: operators never mutate their inputs, so relations — including
 // the caller's database — may be shared across concurrent evaluations.
-//
-// # Batched evaluation
-//
-// [EvalBatch] evaluates one query over K candidate subinstances of the same
-// database in a single pass: bit k of every annotation replays the
-// set-semantics evaluation on candidate k (⊕ = OR, ⊗ = AND, Minus = AND
-// NOT), with definite-zero annotations pruned at scans and join emits.
-// [EvalBatchDiffs] does both directions of Q1 − Q2 with shared base scans.
-// Plans containing γ fail with an error wrapping [ErrNoAggregates]
-// (aggregation is not per-bit sound); callers detect it with errors.Is and
-// fall back to per-candidate evaluation.
 //
 // # Delta-incremental evaluation
 //
@@ -41,11 +29,10 @@
 // tables, indexed set-operation outputs, γ group membership, derivation
 // counts). [PreparedDiff.ApplyDelta] propagates one signed update —
 // deletions plus insertions, updates expressed as delete+insert — through
-// the retained state in time proportional to the delta;
-// [PreparedDiff.EvalDelta] is the deletion-only special case, and
-// [DeltaResult.Commit] rebases the retained state (assigning fresh
-// TupleIDs to committed insertions in deterministic order) for sequential
-// shrink loops and live sessions. Invariants: a prepared state answers
+// the retained state in time proportional to the delta (candidate checks
+// pass deletions only), and [DeltaResult.Commit] rebases the retained state
+// (assigning fresh TupleIDs to committed insertions in deterministic order)
+// for sequential shrink loops and live sessions. Invariants: a prepared state answers
 // deltas only against its current base (stale commits fail with
 // [ErrStaleDelta]); derivation counts are kept exact and below a safe
 // bound — a plan or delta that would saturate them is refused with

@@ -24,8 +24,7 @@ var ErrRowBudget = errors.New("engine: intermediate result exceeds the row budge
 
 // ErrNoAggregates is wrapped by the error returned when a plan contains
 // GroupBy but the semiring does not support aggregation (Aggregates() is
-// false). Batch callers detect it with errors.Is and fall back to
-// per-candidate evaluation.
+// false), as with why-provenance.
 var ErrNoAggregates = errors.New("engine: semiring does not support aggregation")
 
 // Catalog adapts a Database to ra.Catalog.
@@ -175,11 +174,10 @@ type exec[T any] struct {
 	db     *relation.Database
 	params map[string]relation.Value
 	opts   Options
-	// scans caches base-relation scan results by name: a plan (or a pair of
-	// plans sharing one exec, as in the batch layer) referencing the same
-	// relation twice — self-joins, Q and its copy inside Q1 − Q2 — pays for
-	// the scan, the Leaf annotations and the dedup hashing once. Safe
-	// because operators never mutate their inputs.
+	// scans caches base-relation scan results by name: a plan referencing
+	// the same relation twice — self-joins, Q and its copy inside Q1 − Q2 —
+	// pays for the scan, the Leaf annotations and the dedup hashing once.
+	// Safe because operators never mutate their inputs.
 	scans map[string]*Rel[T]
 	// refs counts how many parents reference each node (>1 only in the
 	// DAG-shaped plans the Yannakakis reducer emits, where a fully-reduced
@@ -346,12 +344,10 @@ func renameRel[T any](in *Rel[T], as string) *Rel[T] {
 }
 
 // base scans a stored relation, annotating each tuple with its Leaf
-// annotation and ⊕-merging duplicates. Tuples whose leaf annotation is
-// definitely zero are pruned at the scan: under the bitvector batch
-// semirings that shrinks the scan from the full database to the union of
-// the candidate subinstances (set, counting and why leaves are never zero,
-// so nothing changes for them). Large scans under a parallel Options fan
-// the deduplicating build out across tuple-hash partitions.
+// annotation and ⊕-merging duplicates. A tuple whose leaf annotation is
+// zero is absent, so it is dropped (the shipped semirings' leaves are never
+// zero). Large scans under a parallel Options fan the deduplicating build
+// out across tuple-hash partitions.
 func (e *exec[T]) base(x *ra.Rel) (*Rel[T], error) {
 	if cached, ok := e.scans[x.Name]; ok {
 		return cached, nil

@@ -75,12 +75,11 @@ func (e *exec[T]) join(l, r *Rel[T], cond ra.Expr) (*Rel[T], error) {
 		if err != nil || !ok {
 			return err
 		}
-		// Definitely-zero ⊗-products are pruned (bitvector annotations of
-		// disjoint candidate sets AND to zero) and do not count against the
-		// row budget. The product is computed only after the θ-predicate
-		// passes: Times can be expensive (why-provenance allocates an And
-		// node), so rejected pairs — the bulk of a nested-loop θ-join —
-		// must not pay for it.
+		// Zero ⊗-products are absent tuples: they are dropped and do not
+		// count against the row budget. The product is computed only after
+		// the θ-predicate passes: Times can be expensive (why-provenance
+		// allocates an And node), so rejected pairs — the bulk of a
+		// nested-loop θ-join — must not pay for it.
 		ann := e.s.Times(l.Anns[li], r.Anns[ri])
 		if e.s.IsZero(ann) {
 			return nil

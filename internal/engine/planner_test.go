@@ -3,14 +3,12 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/ra"
 	"repro/internal/relation"
-	"repro/internal/testdb"
 )
 
 // This file differentially tests the cost-based join planner: for every
@@ -20,9 +18,9 @@ import (
 // plans biased toward multi-way join regions: natural join chains, θ-chains
 // and stars with renamed self-joins, NULL join keys, Diff towers over and
 // under regions, and γ barriers. It also covers the planner's interaction
-// with EvalBatchDiffs, PrepareDiff/EvalDelta and the parallel operators, and
-// unit-tests the GYO reduction, the statistics provider, the join-graph
-// extraction, and the pre-execution row-budget refusal.
+// with PrepareDiff/ApplyDelta and the parallel operators, and unit-tests the
+// GYO reduction, the statistics provider, the join-graph extraction, and the
+// pre-execution row-budget refusal.
 
 // naturalChainPlan builds a k-way natural join chain of union-compatible
 // subplans. Every input shares the (a, b, c) schema, so each join matches on
@@ -157,41 +155,6 @@ func TestPlannerDifferentialCount(t *testing.T) {
 	}
 }
 
-// TestPlannerDifferentialBit: per-candidate bitmasks survive planning (the
-// semi-join reduction must behave as a filter — pure ⊕-preserving — for
-// non-aggregating semirings too).
-func TestPlannerDifferentialBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(4203))
-	for trial := 0; trial < 200; trial++ {
-		db := randomDB(rng)
-		q := randomPlannerPlan(rng, false)
-		allIDs := db.AllIDs()
-		cands := make([][]relation.TupleID, 6)
-		for k := range cands {
-			for _, id := range allIDs {
-				if rng.Intn(2) == 0 {
-					cands[k] = append(cands[k], id)
-				}
-			}
-		}
-		s, err := NewBitSemiring(cands)
-		if err != nil {
-			t.Fatal(err)
-		}
-		on, off := planOnOff[uint64](t, trial, s, q, db)
-		if on == nil {
-			continue
-		}
-		for i, tup := range off.Tuples {
-			j := on.Lookup(tup)
-			if j < 0 || on.Anns[j] != off.Anns[i] {
-				t.Fatalf("trial %d: mask of %v: want %b got %b\nquery: %s",
-					trial, tup, off.Anns[i], on.Anns[j], q)
-			}
-		}
-	}
-}
-
 // TestPlannerDifferentialWhy: provenance expressions stay logically
 // equivalent under planning, checked on random assignments.
 func TestPlannerDifferentialWhy(t *testing.T) {
@@ -224,56 +187,6 @@ func TestPlannerDifferentialWhy(t *testing.T) {
 	}
 }
 
-func batchMasks(b *BatchResult) map[string]string {
-	m := make(map[string]string, len(b.Tuples))
-	for i, t := range b.Tuples {
-		mask := make([]byte, b.K)
-		for k := 0; k < b.K; k++ {
-			mask[k] = '0'
-			if b.Has(i, k) {
-				mask[k] = '1'
-			}
-		}
-		m[testdb.TupleKey(t)] = string(mask)
-	}
-	return m
-}
-
-// TestPlannerBatchDiffs: EvalBatchDiffs with the planner ≡ without, for both
-// difference directions, including wide (>64 candidate) masks.
-func TestPlannerBatchDiffs(t *testing.T) {
-	rng := rand.New(rand.NewSource(4205))
-	for trial := 0; trial < 100; trial++ {
-		db := randomDB(rng)
-		q1, q2 := randomDiffPair(rng)
-		allIDs := db.AllIDs()
-		k := 5
-		if trial%10 == 9 {
-			k = 70 // wide-mask path
-		}
-		cands := make([][]relation.TupleID, k)
-		for c := range cands {
-			for _, id := range allIDs {
-				if rng.Intn(2) == 0 {
-					cands[c] = append(cands[c], id)
-				}
-			}
-		}
-		on12, on21, errOn := EvalBatchDiffs(q1, q2, db, nil, cands, Options{})
-		off12, off21, errOff := EvalBatchDiffs(q1, q2, db, nil, cands, Options{NoPlan: true})
-		if (errOn == nil) != (errOff == nil) {
-			t.Fatalf("trial %d: planner changed the outcome: on=%v off=%v", trial, errOn, errOff)
-		}
-		if errOn != nil {
-			continue // γ pairs reject batching identically on both sides
-		}
-		if !maps.Equal(batchMasks(on12), batchMasks(off12)) ||
-			!maps.Equal(batchMasks(on21), batchMasks(off21)) {
-			t.Fatalf("trial %d: batched diffs differ with planner\nq1: %s\nq2: %s", trial, q1, q2)
-		}
-	}
-}
-
 // TestPlannerPreparedDiff: the delta-incremental path plans (join order
 // only; semi-joins are disabled there) and must agree with the unplanned
 // prepared state on every delta.
@@ -299,13 +212,13 @@ func TestPlannerPreparedDiff(t *testing.T) {
 					removed = append(removed, id)
 				}
 			}
-			rOn, err := pOn.EvalDelta(removed)
+			rOn, err := pOn.ApplyDelta(removed, nil)
 			if err != nil {
-				t.Fatalf("trial %d: planned EvalDelta: %v", trial, err)
+				t.Fatalf("trial %d: planned ApplyDelta: %v", trial, err)
 			}
-			rOff, err := pOff.EvalDelta(removed)
+			rOff, err := pOff.ApplyDelta(removed, nil)
 			if err != nil {
-				t.Fatalf("trial %d: unplanned EvalDelta: %v", trial, err)
+				t.Fatalf("trial %d: unplanned ApplyDelta: %v", trial, err)
 			}
 			on12, err1 := rOn.Diff12()
 			on21, err2 := rOn.Diff21()

@@ -45,7 +45,7 @@ import (
 // updates that would break the invariant afterwards — when the plan or its
 // evaluation state cannot be maintained incrementally (currently: derivation
 // counts beyond maxSafeCount, where exact count arithmetic could overflow).
-// Callers fall back to the batch or per-candidate path, or re-prepare.
+// Callers fall back to from-scratch evaluation, or re-prepare.
 var ErrNotIncremental = errors.New("engine: plan is not delta-incrementalizable")
 
 // ErrStaleDelta is returned by DeltaResult.Commit when the prepared state
@@ -722,8 +722,8 @@ func (n *pgroup) commit(ctx *deltaCtx) {
 
 // pbuilder constructs the prepared operator DAG and its base evaluation.
 // Base scans are cached by relation name, so Q1 and Q2 (and self-joins)
-// share one retained scan per relation — the same sharing the batch layer's
-// per-exec scan cache provides, but persistent.
+// share one retained scan per relation — the same sharing the per-exec scan
+// cache provides, but persistent.
 type pbuilder struct {
 	db     *relation.Database
 	params map[string]relation.Value

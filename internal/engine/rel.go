@@ -30,9 +30,7 @@ func NewRel[T any](schema relation.Schema) *Rel[T] {
 
 // NewRelCap creates an empty annotated relation with capacity for n tuples.
 // Operators that know an output bound preallocate through this: repeated
-// slice growth copies the annotation array as well as the tuple array, and
-// annotations can be wide (the batch semirings' multi-word masks), so
-// avoiding regrowth matters most exactly when annotations are biggest.
+// slice growth copies the annotation array as well as the tuple array.
 func NewRelCap[T any](schema relation.Schema, n int) *Rel[T] {
 	return &Rel[T]{
 		Schema: schema,

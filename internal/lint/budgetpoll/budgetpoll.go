@@ -51,7 +51,7 @@ var scopePkgs = map[string]bool{
 
 // heavyWords are identifier-word prefixes marking callees that do
 // evaluation- or solver-shaped work. Matching is per camelCase word so
-// "Resolve" does not match "solve" but "EvalBatch" matches "eval".
+// "Resolve" does not match "solve" but "EvalProvOpts" matches "eval".
 // The delta/revise/grade entries cover the IVM loop class: a session or
 // storm loop that applies deltas (ApplyDelta, propagateDelta) or re-grades
 // (ReviseQuery, Grade) per step runs under the same per-request budgets as
@@ -72,7 +72,7 @@ func isHeavyName(name string) bool {
 }
 
 // camelWords splits an identifier into lowercased words at case
-// transitions and underscores: "EvalBatchDiffs" -> [eval batch diffs].
+// transitions and underscores: "EvalProvOpts" -> [eval prov opts].
 func camelWords(name string) []string {
 	var words []string
 	start := 0

@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -120,21 +122,46 @@ func (d *Database) AllIDs() []TupleID {
 }
 
 // Subinstance builds the subinstance D' ⊆ D containing exactly the tuples
-// whose identifiers appear in keep. Tuples retain their original
-// identifiers, so provenance variables remain stable across subinstances.
+// whose identifiers map to true in keep (ids not in D are ignored). Tuples
+// retain their original identifiers, so provenance variables remain stable
+// across subinstances. Every relation of D is present, empty or not, in
+// creation order, and kept tuples stay in their order within D. The cost is
+// O(|keep| log |keep|) plus one step per relation, not O(|D|): callers build
+// witness-sized subinstances of large instances in a loop.
 func (d *Database) Subinstance(keep map[TupleID]bool) *Database {
+	relIdx := make(map[string]int, len(d.order))
+	for i, name := range d.order {
+		relIdx[name] = i
+	}
+	type keptRef struct {
+		rel, idx int
+		id       TupleID
+	}
+	refs := make([]keptRef, 0, len(keep))
+	for id, ok := range keep {
+		if !ok {
+			continue
+		}
+		if ref, found := d.byID[id]; found {
+			refs = append(refs, keptRef{rel: relIdx[ref.rel], idx: ref.idx, id: id})
+		}
+	}
+	slices.SortFunc(refs, func(a, b keptRef) int {
+		if c := cmp.Compare(a.rel, b.rel); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 	sub := NewDatabase()
 	sub.nextID = d.nextID
-	for _, name := range d.order {
-		r := d.rels[name]
-		nr := sub.CreateRelation(name, r.Schema)
-		for i, t := range r.Tuples {
-			id := r.IDs[i]
-			if keep[id] {
-				sub.byID[id] = tupleRef{rel: name, idx: len(nr.Tuples)}
-				nr.AppendWithID(t, id)
-			}
-		}
+	rels := make([]*Relation, len(d.order))
+	for i, name := range d.order {
+		rels[i] = sub.CreateRelation(name, d.rels[name].Schema)
+	}
+	for _, ref := range refs {
+		name, nr := d.order[ref.rel], rels[ref.rel]
+		sub.byID[ref.id] = tupleRef{rel: name, idx: len(nr.Tuples)}
+		nr.AppendWithID(d.rels[name].Tuples[ref.idx], ref.id)
 	}
 	return sub
 }
