@@ -24,11 +24,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of the delta, planner, IVM and session benchmarks:
-# compile-and-run smoke plus their embedded equivalence guards.
+# One iteration of the delta, planner, IVM, session and EnumerateSmallest
+# benchmarks: compile-and-run smoke plus their embedded equivalence guards.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'PreparedDiff|Planner|ApplyDelta' -benchtime 1x ./internal/engine/...
-	$(GO) test -run '^$$' -bench 'Session' -benchtime 1x ./internal/core/...
+	$(GO) test -run '^$$' -bench 'Session|EnumerateSmallest' -benchtime 1x ./internal/core/...
 
 # A short run of the tuple-hash fuzz target (Identical ⇒ equal hashes;
 # index probes ≡ linear Identical scans) beyond its checked-in corpus.

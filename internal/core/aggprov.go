@@ -1,9 +1,10 @@
-package eval
+package core
 
 import (
 	"fmt"
 
 	"repro/internal/boolexpr"
+	"repro/internal/engine"
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/smt"
@@ -74,13 +75,14 @@ func (r *AggProvResult) GroupKeyCols() []OutCol {
 }
 
 // EvalAggProv computes aggregate provenance for a query of the supported
-// shape. The query must match ra.MatchTopAggregate.
-func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Value) (*AggProvResult, error) {
+// shape. The query must match ra.MatchTopAggregate. The inner query is
+// evaluated with how-provenance (engine.EvalProvOpts) under opts.
+func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Value, opts engine.Options) (*AggProvResult, error) {
 	spec, ok := ra.MatchTopAggregate(q)
 	if !ok {
-		return nil, fmt.Errorf("eval: query shape unsupported for aggregate provenance (want π? σ* γ(Q')): %s", q)
+		return nil, fmt.Errorf("core: query shape unsupported for aggregate provenance (want π? σ* γ(Q')): %s", q)
 	}
-	ann, err := EvalProv(spec.Inner, db, params)
+	ann, err := engine.EvalProvOpts(spec.Inner, db, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +99,7 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 	for i, a := range g.Aggs {
 		if a.Attr == "" {
 			if a.Func != ra.Count {
-				return nil, fmt.Errorf("eval: %s requires an attribute", a.Func)
+				return nil, fmt.Errorf("core: %s requires an attribute", a.Func)
 			}
 			aIdx[i] = -1
 			continue
@@ -123,7 +125,7 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 	}
 
 	// Group-by output schema, used to translate HAVING predicates.
-	gbSchema, err := ra.OutSchema(g, Catalog{DB: db})
+	gbSchema, err := ra.OutSchema(g, engine.Catalog{DB: db})
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +138,7 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 			grp.Aggs[ai] = &smt.AggValue{Func: g.Aggs[ai].Func}
 		}
 		for _, mi := range members[gi] {
-			prov := ann.Provs[mi]
+			prov := ann.Anns[mi]
 			t := ann.Tuples[mi]
 			exists = append(exists, prov)
 			for ai := range g.Aggs {
@@ -152,7 +154,7 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 						v = 1 // COUNT(attr): each non-NULL value counts 1
 					} else {
 						if !val.IsNumeric() {
-							return nil, fmt.Errorf("eval: aggregate %s over non-numeric value %v", g.Aggs[ai].Func, val)
+							return nil, fmt.Errorf("core: aggregate %s over non-numeric value %v", g.Aggs[ai].Func, val)
 						}
 						v = val.AsFloat()
 					}
@@ -242,14 +244,14 @@ func translateHaving(e ra.Expr, gbSchema relation.Schema, g *ra.GroupBy, grp *Ag
 		}
 		return &smt.FCmp{Op: x.Op, L: l, R: r}, nil
 	}
-	return nil, fmt.Errorf("eval: unsupported HAVING predicate %s", e)
+	return nil, fmt.Errorf("core: unsupported HAVING predicate %s", e)
 }
 
 func translateOperand(e ra.Expr, gbSchema relation.Schema, g *ra.GroupBy, grp *AggGroup, params map[string]relation.Value) (smt.Operand, error) {
 	switch x := e.(type) {
 	case *ra.Const:
 		if !x.Val.IsNumeric() {
-			return smt.Operand{}, fmt.Errorf("eval: non-numeric constant %v in HAVING", x.Val)
+			return smt.Operand{}, fmt.Errorf("core: non-numeric constant %v in HAVING", x.Val)
 		}
 		return smt.ConstOp(x.Val.AsFloat()), nil
 	case *ra.Param:
@@ -268,11 +270,11 @@ func translateOperand(e ra.Expr, gbSchema relation.Schema, g *ra.GroupBy, grp *A
 		if j < len(g.GroupCols) {
 			v := grp.Key[j]
 			if !v.IsNumeric() {
-				return smt.Operand{}, fmt.Errorf("eval: non-numeric group column %s in HAVING comparison", x.Name)
+				return smt.Operand{}, fmt.Errorf("core: non-numeric group column %s in HAVING comparison", x.Name)
 			}
 			return smt.ConstOp(v.AsFloat()), nil
 		}
 		return smt.AggOp(grp.Aggs[j-len(g.GroupCols)]), nil
 	}
-	return smt.Operand{}, fmt.Errorf("eval: unsupported HAVING operand %s", e)
+	return smt.Operand{}, fmt.Errorf("core: unsupported HAVING operand %s", e)
 }

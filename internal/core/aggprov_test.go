@@ -1,18 +1,28 @@
-package eval
+package core
 
 import (
 	"testing"
 
-	"repro/internal/boolexpr"
+	"repro/internal/engine"
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/smt"
 	"repro/internal/testdb"
 )
 
+// assignIDs builds an assignment where exactly the listed tuple ids are
+// present.
+func assignIDs(ids ...int) func(int) bool {
+	set := map[int]bool{}
+	for _, id := range ids {
+		set[id] = true
+	}
+	return func(id int) bool { return set[id] }
+}
+
 func TestAggProvExample4Structure(t *testing.T) {
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.AggQ2(), db, nil)
+	res, err := EvalAggProv(testdb.AggQ2(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +59,7 @@ func TestAggProvExample4Structure(t *testing.T) {
 
 func TestAggProvExistence(t *testing.T) {
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.AggQ1(), db, nil)
+	res, err := EvalAggProv(testdb.AggQ1(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +92,7 @@ func TestAggProvExistence(t *testing.T) {
 
 func TestAggProvHavingTranslation(t *testing.T) {
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.HavingQ2(), db, nil)
+	res, err := EvalAggProv(testdb.HavingQ2(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +114,7 @@ func TestAggProvHavingTranslation(t *testing.T) {
 
 func TestAggProvParamStaysSymbolic(t *testing.T) {
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.ParamQ2(), db, nil) // no binding for @numCS
+	res, err := EvalAggProv(testdb.ParamQ2(), db, nil, engine.Options{}) // no binding for @numCS
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +131,7 @@ func TestAggProvParamStaysSymbolic(t *testing.T) {
 
 func TestAggProvOutCols(t *testing.T) {
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.AggQ1(), db, nil)
+	res, err := EvalAggProv(testdb.AggQ1(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +148,7 @@ func TestAggProvOutCols(t *testing.T) {
 
 func TestAggProvRejectsNonAggregate(t *testing.T) {
 	db := testdb.Example1DB()
-	if _, err := EvalAggProv(testdb.Q2(), db, nil); err == nil {
+	if _, err := EvalAggProv(testdb.Q2(), db, nil, engine.Options{}); err == nil {
 		t.Error("non-aggregate query should be rejected")
 	}
 }
@@ -148,7 +158,7 @@ func TestAggProvCountStar(t *testing.T) {
 	q := &ra.GroupBy{GroupCols: []string{"name"},
 		Aggs: []ra.AggSpec{{Func: ra.Count, As: "c"}},
 		In:   &ra.Rel{Name: "Registration"}}
-	res, err := EvalAggProv(q, db, nil)
+	res, err := EvalAggProv(q, db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +181,7 @@ func TestAggProvAgainstConcreteSubinstances(t *testing.T) {
 	// Exactness: for sampled subinstances, the symbolic aggregate equals
 	// the concretely evaluated aggregate.
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.AggQ2(), db, nil)
+	res, err := EvalAggProv(testdb.AggQ2(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +198,7 @@ func TestAggProvAgainstConcreteSubinstances(t *testing.T) {
 			}
 		}
 		sub := db.Subinstance(keep)
-		conc, err := Eval(testdb.AggQ2(), sub, nil)
+		conc, err := engine.Eval(testdb.AggQ2(), sub, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,11 +226,11 @@ func TestGroupDisagreementViaPresence(t *testing.T) {
 	// The Example 4 counterexample: a single ECON tuple (t6) makes Q2
 	// return (Mary, 88) while Q1 returns nothing.
 	db := testdb.Example1DB()
-	r1, err := EvalAggProv(testdb.AggQ1(), db, nil)
+	r1, err := EvalAggProv(testdb.AggQ1(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := EvalAggProv(testdb.AggQ2(), db, nil)
+	r2, err := EvalAggProv(testdb.AggQ2(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,5 +242,4 @@ func TestGroupDisagreementViaPresence(t *testing.T) {
 	if p1 || !p2 {
 		t.Errorf("with {t1,t6}: Q1 presence=%v Q2 presence=%v, want false/true", p1, p2)
 	}
-	_ = boolexpr.True() // keep boolexpr imported for future extensions
 }

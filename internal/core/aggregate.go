@@ -1,13 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/boolexpr"
 	"repro/internal/engine"
-	"repro/internal/eval"
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/sat"
@@ -95,11 +95,11 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		}
 	}
 	t0 = time.Now()
-	ap1, err := evalAggProvHaving(q1, p.DB, provParams, origParams)
+	ap1, err := evalAggProvHaving(q1, p.DB, provParams, origParams, p.engineOpts())
 	if err != nil {
 		return nil, nil, err
 	}
-	ap2, err := evalAggProvHaving(q2, p.DB, provParams, origParams)
+	ap2, err := evalAggProvHaving(q2, p.DB, provParams, origParams, p.engineOpts())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -120,7 +120,7 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	var cands []cand
 	var keys []relation.Tuple
 	byKey := relation.NewIndex(0)
-	for _, ap := range []*eval.AggProvResult{ap1, ap2} {
+	for _, ap := range []*AggProvResult{ap1, ap2} {
 		for _, g := range ap.Groups {
 			if _, added := byKey.FindOrAdd(g.Key.Hash(), keys, nil, g.Key, nil); !added {
 				continue
@@ -228,8 +228,8 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	// verification phase would escape the request's deadline and caps.
 	verifyProblem := Problem{Q1: q1, Q2: q2, DB: p.DB, Constraints: p.Constraints, Params: origParams,
 		Ctx: p.Ctx, MaxConflicts: p.MaxConflicts, MaxRows: p.MaxRows}
-	// The aggregate candidates carry their own parameter settings, which the
-	// per-problem prepared state cannot answer: no shared checker here.
+	// The aggregate candidates carry their own parameter settings and
+	// rewritten queries, so each is checked by Verify.
 	oks := verifyCandidates(verifyProblem, pending)
 	var best *Counterexample
 	for i, ce := range pending {
@@ -266,21 +266,23 @@ func verifyCandidates(p Problem, ces []*Counterexample) []bool {
 	return out
 }
 
-// evalAggProvHaving computes aggregate provenance, using symParams for the
-// symbolic HAVING translation while the inner query is evaluated under the
-// full parameter binding when it needs parameters of its own.
-func evalAggProvHaving(q ra.Node, db *relation.Database, symParams, fullParams map[string]relation.Value) (*eval.AggProvResult, error) {
-	res, err := eval.EvalAggProv(q, db, symParams)
-	if err == nil {
-		return res, nil
+// evalAggProvHaving computes aggregate provenance under opts, using
+// symParams for the symbolic HAVING translation while the inner query is
+// evaluated under the full parameter binding when it needs parameters of its
+// own. A budget error (the stop hook's or the row budget's) is returned as
+// is: a retry would only spend the exhausted budget again.
+func evalAggProvHaving(q ra.Node, db *relation.Database, symParams, fullParams map[string]relation.Value, opts engine.Options) (*AggProvResult, error) {
+	res, err := EvalAggProv(q, db, symParams, opts)
+	if err == nil || errors.Is(err, ErrBudget) || errors.Is(err, engine.ErrRowBudget) {
+		return res, err
 	}
 	// The inner query may reference withheld parameters; retry fully bound.
-	return eval.EvalAggProv(q, db, fullParams)
+	return EvalAggProv(q, db, fullParams, opts)
 }
 
 // projectedKey returns a group's non-aggregate output columns (the values
 // by which its output row is identified after projection).
-func projectedKey(g *eval.AggGroup, ap *eval.AggProvResult) relation.Tuple {
+func projectedKey(g *AggGroup, ap *AggProvResult) relation.Tuple {
 	var out relation.Tuple
 	for _, c := range ap.OutCols {
 		if !c.IsAgg {
@@ -290,7 +292,7 @@ func projectedKey(g *eval.AggGroup, ap *eval.AggProvResult) relation.Tuple {
 	return out
 }
 
-func otherGroup(ap1, ap2, this *eval.AggProvResult, key relation.Tuple) *eval.AggGroup {
+func otherGroup(ap1, ap2, this *AggProvResult, key relation.Tuple) *AggGroup {
 	if this == ap1 {
 		return ap2.GroupByKey(key)
 	}
@@ -300,7 +302,7 @@ func otherGroup(ap1, ap2, this *eval.AggProvResult, key relation.Tuple) *eval.Ag
 // groupDisagreement builds the Listing 2 constraint for one group key:
 // presence in exactly one result, or presence in both with some compared
 // aggregate value differing.
-func groupDisagreement(g1, g2 *eval.AggGroup, ap1, ap2 *eval.AggProvResult) smt.Formula {
+func groupDisagreement(g1, g2 *AggGroup, ap1, ap2 *AggProvResult) smt.Formula {
 	p1 := smt.Formula(&smt.FConst{Val: false})
 	if g1 != nil {
 		p1 = g1.Presence()

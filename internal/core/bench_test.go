@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/testdb"
 )
 
@@ -19,6 +20,16 @@ func BenchmarkBasicExample1(b *testing.B) {
 	p := Problem{Q1: testdb.Q1(), Q2: testdb.Q2(), DB: testdb.Example1DB()}
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Basic(p, 128); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAggProvenance(b *testing.B) {
+	db := testdb.Example1DB()
+	q := testdb.HavingQ2()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvalAggProv(q, db, nil, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/ra"
+	"repro/internal/relation"
 	"repro/internal/testdb"
 )
 
@@ -90,4 +93,57 @@ func TestErrQueriesAgreeSentinel(t *testing.T) {
 	if _, _, err := ShrinkGreedy(p); !errors.Is(err, ErrQueriesAgree) {
 		t.Fatalf("ShrinkGreedy on equal queries: got %v, want ErrQueriesAgree", err)
 	}
+}
+
+// SolveWitnessStrategy evaluates under the problem's row budget, like the
+// algorithms it mirrors.
+func TestSolveWitnessStrategyMaxRows(t *testing.T) {
+	p := courseProblem(t, 300)
+	p.MaxRows = 1
+	if _, _, err := SolveWitnessStrategy(p, "opt", 0); !errors.Is(err, engine.ErrRowBudget) {
+		t.Fatalf("expected ErrRowBudget with MaxRows=1, got %v", err)
+	}
+}
+
+// Aggregate provenance runs under the engine options it is given, and a
+// budget failure is returned at once rather than retried with the fully
+// bound parameters.
+func TestAggProvBudgetNotRetried(t *testing.T) {
+	db := testdb.Example1DB()
+	q := testdb.ParamQ2()
+	full := map[string]relation.Value{"numCS": relation.Int(3)}
+	spec, ok := ra.MatchTopAggregate(q)
+	if !ok {
+		t.Fatal("ParamQ2 should have the aggregate-provenance shape")
+	}
+
+	t.Run("stop", func(t *testing.T) {
+		stopErr := fmt.Errorf("%w: stopped", ErrBudget)
+		polls := 0
+		opts := engine.Options{Stop: func() error { polls++; return stopErr }}
+		if _, err := evalAggProvHaving(q, db, nil, full, opts); !errors.Is(err, stopErr) {
+			t.Fatalf("got %v, want the stop hook's error", err)
+		}
+		// The hook fails its first poll, so each evaluation polls it once.
+		if polls != 1 {
+			t.Fatalf("stop hook polled %d times, want 1 (one evaluation)", polls)
+		}
+	})
+
+	t.Run("max-rows", func(t *testing.T) {
+		polls := 0
+		opts := engine.Options{MaxRows: 1, Stop: func() error { polls++; return nil }}
+		if _, err := evalAggProvHaving(q, db, nil, full, opts); !errors.Is(err, engine.ErrRowBudget) {
+			t.Fatalf("got %v, want ErrRowBudget", err)
+		}
+		// One evaluation of the inner query polls exactly this often.
+		got := polls
+		polls = 0
+		if _, err := engine.EvalProvOpts(spec.Inner, db, nil, opts); !errors.Is(err, engine.ErrRowBudget) {
+			t.Fatalf("inner query: got %v, want ErrRowBudget", err)
+		}
+		if polls == 0 || got != polls {
+			t.Fatalf("stop hook polled %d times, one evaluation polls %d", got, polls)
+		}
+	})
 }

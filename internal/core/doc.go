@@ -31,16 +31,16 @@
 //
 // # Candidate checking
 //
-// The search algorithms funnel their "do Q1 and Q2 still disagree on this
-// subinstance" questions through a per-problem checker that routes each
-// candidate to one of two evaluation paths: candidates whose deletion
-// delta is at most a quarter of |D| (maxDeltaFraction) go through the
-// retained-state delta evaluation (engine.PrepareDiff / ApplyDelta); every
-// other candidate — and every candidate when the plan pair could not be
-// prepared or a delta evaluation fails — is materialized as a subinstance
-// ([relation.Database.Subinstance], O(k log k) in the kept set) and
-// evaluated from scratch. The routing changes cost only — accept/reject
-// decisions are identical on both paths.
+// Every algorithm starts from one plain evaluation of Q1 and Q2 on D
+// (Problem.disagrees), which yields the difference tuples it explains. The
+// enumerating searches (EnumerateSmallest, SPJUDStarSWP) then check their
+// candidates one at a time, smallest first: each candidate id set is
+// materialized as a subinstance ([relation.Database.Subinstance], O(k log k)
+// in the kept set) and both queries are evaluated on it under the problem's
+// budget, so a search stops evaluating at its answer. Candidates are
+// witness-sized, far below |D|, so no retained evaluation state is kept for
+// them; only ShrinkGreedy, whose deletion attempts differ from the current
+// instance by one tuple, answers them by delta (engine.PrepareDiff).
 //
 // Solvers live below this package: internal/sat (CDCL), internal/minones
 // (min-ones enumeration/optimization), internal/smt (symbolic aggregate

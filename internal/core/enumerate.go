@@ -20,9 +20,8 @@ import (
 // witnesses of size k* with the SAT solver.
 //
 // The SAT models of every witness case are decoded and deduplicated first,
-// then checked in order through the shared checker (the retained delta
-// state for near-full candidates, a fresh evaluation of the witness-sized
-// subinstance otherwise) until max are accepted. Witness cases whose CNF
+// then checked in order, each on its materialized witness-sized
+// subinstance, until max are accepted. Witness cases whose CNF
 // duplicates an earlier case's are skipped outright (identical formulas
 // enumerate identical models, which the id-set dedup would discard anyway),
 // saving both the solver enumeration and the redundant verification work.
@@ -33,20 +32,16 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 	if err := p.interrupted(); err != nil {
 		return nil, err
 	}
-	// One prepared evaluation serves the whole enumeration: its retained
-	// state provides the base diffs here and answers the near-full
-	// candidates' disagreement checks below.
-	chk, err := newChecker(p)
+	differs, d12, d21, err := p.disagrees(p.DB)
 	if err != nil {
 		return nil, err
 	}
-	if !chk.differs {
+	if !differs {
 		return nil, ErrQueriesAgree
 	}
 	if err := p.interrupted(); err != nil {
 		return nil, err
 	}
-	d12, d21 := chk.d12, chk.d21
 	fks := p.ForeignKeys()
 
 	type tupleCase struct {
@@ -137,18 +132,14 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 	}
 	var out []*Counterexample
 	for _, c := range pending {
-		differs, err := chk.disagree(c.ids)
+		ce, err := p.checkCandidate(c.ids, c.t)
 		if err != nil {
 			return nil, err
 		}
-		if !differs {
+		if ce == nil {
 			continue
 		}
-		sub, tids := subinstanceFromIDs(p.DB, c.ids)
-		if !sub.SubinstanceOf(p.DB) || !constraintsHold(p, sub) {
-			continue
-		}
-		out = append(out, &Counterexample{DB: sub, IDs: tids, Witness: c.t})
+		out = append(out, ce)
 		if len(out) >= max {
 			break
 		}
@@ -162,6 +153,9 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 	return out, nil
 }
 
+// provOfPushedTuple pushes the selection on t's values down Q_a − Q_b,
+// evaluates the pushed query with provenance under the problem's budget and
+// returns t's how-provenance, or nil when t is not in the result.
 func provOfPushedTuple(qa, qb ra.Node, t relation.Tuple, p Problem) (*boolexpr.Expr, error) {
 	pushed := PushDownTupleSelection(&ra.Diff{L: qa, R: qb}, t, p.DB)
 	ann, err := engine.EvalProvOpts(pushed, p.DB, p.Params, p.engineOpts())

@@ -10,8 +10,8 @@ import (
 // BenchmarkEnumerateSmallest times EnumerateSmallest end to end on a
 // disagreeing course query pair: q4 ("CS but not ECON") vs q6 ("only CS"),
 // both containing difference operators, over the |D|=5000 course instance
-// with its constraints. Candidate checking runs through the checker's delta
-// and subinstance paths.
+// with its constraints. Each candidate is checked on its materialized
+// subinstance.
 func BenchmarkEnumerateSmallest(b *testing.B) {
 	qs := course.Questions()
 	p := core.Problem{Q1: qs[3].Correct, Q2: qs[5].Correct, DB: course.GenerateDB(5000, 7), Constraints: course.Constraints()}

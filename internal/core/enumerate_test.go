@@ -119,3 +119,26 @@ func TestEnumerateSmallestWithFK(t *testing.T) {
 		}
 	}
 }
+
+// TestEnumerateSmallestVerifiedUniformSize: on the running example every
+// enumerated counterexample has the same smallest size and verifies.
+func TestEnumerateSmallestVerifiedUniformSize(t *testing.T) {
+	p := example1Problem()
+	p.Constraints = testdb.Constraints()
+	ces, err := EnumerateSmallest(p, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ces) == 0 {
+		t.Fatal("no counterexamples enumerated")
+	}
+	size := ces[0].Size()
+	for _, ce := range ces {
+		if ce.Size() != size {
+			t.Errorf("non-uniform smallest size: %d vs %d", ce.Size(), size)
+		}
+		if err := Verify(p, ce); err != nil {
+			t.Errorf("invalid counterexample: %v", err)
+		}
+	}
+}

@@ -152,21 +152,18 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 	stats := &Stats{Algorithm: "SPJUDStar"}
 	start := time.Now()
 
-	// The checker's prepared evaluation is shared by the whole odometer
-	// scan: base diffs here, candidate disagreement checks below.
 	t0 := time.Now()
-	chk, err := newChecker(p)
+	differs, d12, d21, err := p.disagrees(p.DB)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats.RawEvalTime = time.Since(t0)
-	if !chk.differs {
+	if !differs {
 		return nil, nil, ErrQueriesAgree
 	}
 	if err := p.interrupted(); err != nil {
 		return nil, nil, err
 	}
-	d12, d21 := chk.d12, chk.d21
 	qa, qb := p.Q1, p.Q2
 	diff := d12
 	if diff.Len() == 0 {
@@ -234,9 +231,8 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 
 	t0 = time.Now()
 	// Enumerate every combination's (FK-closed) id union first, then check
-	// them smallest first through the shared checker (the retained delta
-	// state for near-full unions, a fresh evaluation of the subinstance
-	// otherwise) until a disagreeing one verifies.
+	// them smallest first, each on its materialized subinstance, until one
+	// is a counterexample.
 	var combos [][]int
 	seen := map[string]bool{}
 	var scratch []byte
@@ -293,17 +289,11 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 	sort.SliceStable(order, func(a, b int) bool { return len(combos[order[a]]) < len(combos[order[b]]) })
 	var best *Counterexample
 	for _, i := range order {
-		differs, err := chk.disagree(combos[i])
+		best, err = p.checkCandidate(combos[i], t)
 		if err != nil {
 			return nil, nil, err
 		}
-		if !differs {
-			continue
-		}
-		sub, tids := subinstanceFromIDs(p.DB, combos[i])
-		cand := &Counterexample{DB: sub, IDs: tids, Witness: t}
-		if Verify(p, cand) == nil {
-			best = cand
+		if best != nil {
 			break
 		}
 	}

@@ -9,122 +9,10 @@ import (
 	"repro/internal/relation"
 )
 
-// This file wires the engine's delta-incremental subsystem into the witness
-// search: a checker owns one engine.PreparedDiff per (Q1, Q2, D) problem and
-// routes each candidate accept/reject question to whichever evaluation path is
-// cheapest — the retained-state deletion delta for candidates close to the
-// base instance, a fresh evaluation of the materialized subinstance for the
-// witness-sized ones — and ShrinkGreedy turns the committed-delta mode into a
-// solver-free counterexample minimizer (one O(|Δ|) evaluation per deletion
-// attempt instead of a full re-evaluation).
-
-// maxDeltaFraction bounds the delta path: a candidate whose deletion delta
-// exceeds this fraction of the base instance pays more in delta propagation
-// (O(|Δ| × operator fanout)) than evaluating its subinstance from scratch
-// would, so it takes the subinstance path.
-const maxDeltaFraction = 0.25
-
-// checker carries the per-problem evaluation state the search algorithms
-// share across candidates: the base diffs of Q1 − Q2 / Q2 − Q1 on D (from
-// the one-time prepared evaluation) and the prepared per-operator state for
-// delta-incremental candidate checks. The prepared object is reserved for
-// *uncommitted* candidate deltas here — its base must stay D, or the
-// complement arithmetic below would silently check the wrong subinstance
-// (ShrinkGreedy owns its own PreparedDiff precisely because it commits).
-type checker struct {
-	p       Problem
-	prep    *engine.PreparedDiff
-	allIDs  []relation.TupleID
-	differs bool
-	// d12, d21 are the difference tuples on the full database D.
-	d12, d21 *relation.Relation
-}
-
-// newChecker evaluates the problem's queries once on D. When the plan pair
-// is delta-incrementalizable the evaluation is retained as a PreparedDiff
-// (so the diffs come from the prepared state, not a second evaluation);
-// otherwise it degrades to the plain Disagrees evaluation.
-func newChecker(p Problem) (*checker, error) {
-	c := &checker{p: p}
-	if prep, err := engine.PrepareDiff(p.Q1, p.Q2, p.DB, p.Params, p.engineOpts()); err == nil {
-		c.prep = prep
-		c.d12, c.d21 = prep.Diffs()
-	} else {
-		var derr error
-		_, c.d12, c.d21, derr = p.disagrees(p.DB)
-		if derr != nil {
-			return nil, derr
-		}
-	}
-	c.differs = c.d12.Len() > 0 || c.d21.Len() > 0
-	return c, nil
-}
-
-// disagree reports whether Q1 and Q2 disagree on one candidate subinstance
-// (a kept-id set over D). A candidate that removes at most
-// maxDeltaFraction·|D| tuples is answered by the retained delta state; every
-// other candidate — and every candidate when there is no usable prepared
-// state — is materialized and evaluated from scratch. Callers check their
-// candidates one at a time, so a search stops evaluating at its answer.
-func (c *checker) disagree(ids []int) (bool, error) {
-	// Each candidate can cost a full evaluation; honor the request budget
-	// between candidates.
-	if err := c.p.interrupted(); err != nil {
-		return false, err
-	}
-	kept := make(map[relation.TupleID]bool, len(ids))
-	for _, id := range ids {
-		kept[relation.TupleID(id)] = true
-	}
-	if differs, ok := c.disagreeByDelta(kept); ok {
-		return differs, nil
-	}
-	differs, _, _, err := c.p.disagrees(c.p.DB.Subinstance(kept))
-	return differs, err
-}
-
-// disagreeByDelta answers one candidate from the retained delta state. ok is
-// false when the state is gone or rebased, when the removed set exceeds
-// maxDeltaFraction·|D|, or when the delta evaluation fails: such errors are
-// candidate-specific (e.g. a predicate failing on a resurrected tuple), so
-// the caller evaluates the subinstance instead.
-func (c *checker) disagreeByDelta(kept map[relation.TupleID]bool) (differs, ok bool) {
-	if c.prep == nil || c.prep.Epoch() != 0 {
-		return false, false
-	}
-	// Route on the deduplicated kept count: a raw id list over-counts
-	// duplicates, which would under-estimate the removed set and let an
-	// over-budget delta slip through to the delta path.
-	base := c.prep.BaseSize()
-	if base-len(kept) > int(maxDeltaFraction*float64(base)) {
-		return false, false
-	}
-	res, err := c.prep.ApplyDelta(c.complementSet(kept), nil)
-	if err != nil {
-		return false, false
-	}
-	return res.Disagrees(), true
-}
-
-// complementSet turns a kept-id set into the removed-id delta against D.
-func (c *checker) complementSet(kept map[relation.TupleID]bool) []relation.TupleID {
-	if c.allIDs == nil {
-		c.allIDs = c.p.DB.AllIDs()
-	}
-	removed := make([]relation.TupleID, 0, len(c.allIDs)-len(kept))
-	for _, id := range c.allIDs {
-		if !kept[id] {
-			removed = append(removed, id)
-		}
-	}
-	return removed
-}
-
-// release drops the retained per-operator state, keeping only the base
-// diffs. Callers that never check candidates through the checker (Basic,
-// OptSigmaAll) release after construction so the evaluation-sized retained
-// working set is not pinned for the whole solve phase.
-func (c *checker) release() { c.prep = nil }
+// This file wires the engine's delta-incremental subsystem into ShrinkGreedy,
+// a solver-free counterexample minimizer: one engine.PreparedDiff per
+// problem answers each deletion attempt in O(|Δ|) and commits the accepted
+// ones, instead of re-evaluating both queries per attempt.
 
 // fkGuard tracks foreign-key obligations during greedy deletion: a parent
 // tuple may only be deleted while no live child still depends on it as its

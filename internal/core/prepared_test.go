@@ -78,63 +78,6 @@ func courseConstraints() []relation.Constraint {
 	}
 }
 
-// TestCheckerAdaptiveMatchesPerCandidate: the checker's adaptive routing —
-// witness-sized candidates through a fresh subinstance evaluation, near-full
-// candidates through the prepared delta state — produces exactly the
-// per-candidate accept/reject decisions, including when the two paths
-// interleave on one checker (the EnumerateSmallest coexistence scenario).
-func TestCheckerAdaptiveMatchesPerCandidate(t *testing.T) {
-	p := courseProblem(t, 300)
-	chk, err := newChecker(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chk.prep == nil {
-		t.Fatal("course SPJUD plans should be delta-incrementalizable")
-	}
-	all := p.DB.AllIDs()
-	rng := rand.New(rand.NewSource(11))
-	var idSets [][]int
-	// Witness-sized candidates (subinstance path) interleaved with near-full ones
-	// (delta path): drop a handful of random ids from D.
-	for i := 0; i < 8; i++ {
-		var small []int
-		for j := 0; j < 5; j++ {
-			small = append(small, int(all[rng.Intn(len(all))]))
-		}
-		idSets = append(idSets, small)
-		gone := map[int]bool{}
-		for j := 0; j < 1+rng.Intn(6); j++ {
-			gone[int(all[rng.Intn(len(all))])] = true
-		}
-		var big []int
-		for _, id := range all {
-			if !gone[int(id)] {
-				big = append(big, int(id))
-			}
-		}
-		idSets = append(idSets, big)
-	}
-	// Repeated calls must not corrupt the shared prepared state.
-	for round := 0; round < 3; round++ {
-		for k, ids := range idSets {
-			got, err := chk.disagree(ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sub, _ := subinstanceFromIDs(p.DB, ids)
-			want, _, _, err := Disagrees(p.Q1, p.Q2, sub, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("round %d candidate %d (|kept|=%d): checker=%v per-candidate=%v",
-					round, k, len(ids), got, want)
-			}
-		}
-	}
-}
-
 // randomIDSets draws n random subsets of the database's tuple ids.
 func randomIDSets(rng *rand.Rand, db *relation.Database, n int) [][]int {
 	all := db.AllIDs()
@@ -147,82 +90,6 @@ func randomIDSets(rng *rand.Rand, db *relation.Database, n int) [][]int {
 		}
 	}
 	return out
-}
-
-// TestCheckerRandomCandidatesMatchPerCandidate: random candidates over the
-// running example and over a γ pair get exactly the per-candidate
-// decisions, from a live checker and from a released one (whose candidates
-// all take the subinstance path). The sets include the empty candidate and
-// the full one with duplicated ids.
-func TestCheckerRandomCandidatesMatchPerCandidate(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, p := range []Problem{
-		example1Problem(),
-		{Q1: testdb.AggQ1(), Q2: testdb.AggQ2(), DB: testdb.Example1DB()},
-	} {
-		for _, release := range []bool{false, true} {
-			chk, err := newChecker(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if release {
-				chk.release()
-			}
-			idSets := randomIDSets(rng, p.DB, 40)
-			all := randomIDSets(rng, p.DB, 1)[0]
-			for _, id := range p.DB.AllIDs() {
-				all = append(all, int(id))
-			}
-			idSets = append(idSets, nil, all)
-			for k, ids := range idSets {
-				got, err := chk.disagree(ids)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sub, _ := subinstanceFromIDs(p.DB, ids)
-				want, _, _, err := Disagrees(p.Q1, p.Q2, sub, p.Params)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("%s released=%v candidate %d (%v): checker=%v per-candidate=%v",
-						p.Q1, release, k, ids, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestCheckerBaseDiffsMatchDisagrees: the diffs the prepared evaluation
-// hands the search algorithms equal the plain Disagrees evaluation's,
-// tuple set and order included (the order feeds witness-case tie-breaks).
-func TestCheckerBaseDiffsMatchDisagrees(t *testing.T) {
-	for _, p := range []Problem{
-		courseProblem(t, 300),
-		example1Problem(),
-	} {
-		chk, err := newChecker(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, d12, d21, err := Disagrees(p.Q1, p.Q2, p.DB, p.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pair := range []struct {
-			name      string
-			got, want *relation.Relation
-		}{{"Q1−Q2", chk.d12, d12}, {"Q2−Q1", chk.d21, d21}} {
-			if pair.got.Len() != pair.want.Len() {
-				t.Fatalf("%s: %d tuples, want %d", pair.name, pair.got.Len(), pair.want.Len())
-			}
-			for i := range pair.want.Tuples {
-				if !pair.got.Tuples[i].Identical(pair.want.Tuples[i]) {
-					t.Fatalf("%s tuple %d: %v, want %v", pair.name, i, pair.got.Tuples[i], pair.want.Tuples[i])
-				}
-			}
-		}
-	}
 }
 
 // TestShrinkGreedy: the greedy delta-incremental shrink produces a verified,
@@ -344,30 +211,6 @@ func TestShrinkGreedyFallbackMatches(t *testing.T) {
 	for i, id := range kept {
 		if ce.IDs[i] != id {
 			t.Fatalf("kept id %d: fallback %v, delta loop %v", i, id, ce.IDs[i])
-		}
-	}
-}
-
-// TestEnumerateSmallestUnchangedByChecker: the checker rewiring must not
-// change EnumerateSmallest's results on the running example (same smallest
-// size, all verified).
-func TestEnumerateSmallestUnchangedByChecker(t *testing.T) {
-	p := example1Problem()
-	p.Constraints = testdb.Constraints()
-	ces, err := EnumerateSmallest(p, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ces) == 0 {
-		t.Fatal("no counterexamples enumerated")
-	}
-	size := ces[0].Size()
-	for _, ce := range ces {
-		if ce.Size() != size {
-			t.Errorf("non-uniform smallest size: %d vs %d", ce.Size(), size)
-		}
-		if err := Verify(p, ce); err != nil {
-			t.Errorf("invalid counterexample: %v", err)
 		}
 	}
 }

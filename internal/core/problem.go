@@ -237,3 +237,19 @@ func subinstanceFromIDs(db *relation.Database, ids []int) (*relation.Database, [
 	sub := db.Subinstance(keep)
 	return sub, out
 }
+
+// checkCandidate materializes one candidate id set over D and returns it as
+// a counterexample for witness when the queries disagree on it and it
+// satisfies the constraints, or nil when it does not. Each candidate costs a
+// full evaluation, so the request budget is polled first.
+func (p Problem) checkCandidate(ids []int, witness relation.Tuple) (*Counterexample, error) {
+	if err := p.interrupted(); err != nil {
+		return nil, err
+	}
+	sub, tids := subinstanceFromIDs(p.DB, ids)
+	differs, _, _, err := p.disagrees(sub)
+	if err != nil || !differs || !constraintsHold(p, sub) {
+		return nil, err
+	}
+	return &Counterexample{DB: sub, IDs: tids, Witness: witness}, nil
+}

@@ -129,26 +129,18 @@ func Basic(p Problem, delta int) (*Counterexample, *Stats, error) {
 		return nil, nil, err
 	}
 
-	// One prepared evaluation (base scans shared between Q1 and Q2)
-	// replaces the two independent Disagrees evaluations. Basic checks no
-	// further candidates through the checker — the solver models it
-	// verifies are witness-sized, where per-candidate Verify is cheapest —
-	// so the retained per-operator state is released immediately rather
-	// than pinned through the solve phase.
 	t0 := time.Now()
-	chk, err := newChecker(p)
+	differs, d12, d21, err := p.disagrees(p.DB)
 	if err != nil {
 		return nil, nil, err
 	}
-	chk.release()
 	stats.RawEvalTime = time.Since(t0)
-	if !chk.differs {
+	if !differs {
 		return nil, nil, ErrQueriesAgree
 	}
 	if err := p.interrupted(); err != nil {
 		return nil, nil, err
 	}
-	d12, d21 := chk.d12, chk.d21
 
 	t0 = time.Now()
 	tuples, provs, err := provOfDiffTuples(p.Q1, p.Q2, d12, p)
@@ -287,16 +279,13 @@ func OptSigma(p Problem) (*Counterexample, *Stats, error) {
 	t := diff.Tuples[0]
 
 	t0 = time.Now()
-	pushed := PushDownTupleSelection(&ra.Diff{L: qa, R: qb}, t, p.DB)
-	ann, err := engine.EvalProvOpts(pushed, p.DB, p.Params, p.engineOpts())
+	prov, err := provOfPushedTuple(qa, qb, t, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	i := ann.Lookup(t)
-	if i < 0 {
+	if prov == nil {
 		return nil, nil, fmt.Errorf("core: tuple %v missing after selection pushdown", t)
 	}
-	prov := ann.Anns[i]
 	stats.ProvEvalTime = time.Since(t0)
 	if err := p.interrupted(); err != nil {
 		return nil, nil, err
@@ -348,23 +337,18 @@ func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 		return nil, nil, err
 	}
 
-	// As in Basic: one shared-scan prepared evaluation for the base diffs,
-	// retained state released (the per-tuple candidates below are verified
-	// per-candidate, never through the checker).
 	t0 := time.Now()
-	chk, err := newChecker(p)
+	differs, d12, d21, err := p.disagrees(p.DB)
 	if err != nil {
 		return nil, nil, err
 	}
-	chk.release()
 	stats.RawEvalTime = time.Since(t0)
-	if !chk.differs {
+	if !differs {
 		return nil, nil, ErrQueriesAgree
 	}
 	if err := p.interrupted(); err != nil {
 		return nil, nil, err
 	}
-	d12, d21 := chk.d12, chk.d21
 	// Flatten the per-side, per-tuple iteration space and fan it out over
 	// the worker pool: every task pushes its tuple's selection down,
 	// evaluates provenance, and runs its own optimizing solver against the
@@ -399,18 +383,16 @@ func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 		tk := tasks[i]
 		res := &results[i]
 		t0 := time.Now()
-		pushed := PushDownTupleSelection(&ra.Diff{L: tk.qa, R: tk.qb}, tk.t, p.DB)
-		ann, err := engine.EvalProvOpts(pushed, p.DB, p.Params, p.engineOpts())
+		prov, err := provOfPushedTuple(tk.qa, tk.qb, tk.t, p)
 		if err != nil {
 			return err
 		}
-		j := ann.Lookup(tk.t)
 		res.prov = time.Since(t0)
-		if j < 0 {
+		if prov == nil {
 			return nil
 		}
 		t0 = time.Now()
-		b, counted, varToID, err := buildCNF(ann.Anns[j], p.DB, fks)
+		b, counted, varToID, err := buildCNF(prov, p.DB, fks)
 		if err != nil {
 			return err
 		}
@@ -467,7 +449,7 @@ func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 // "naive-M" enumerates up to M models. It returns the witness size and the
 // models tried.
 func SolveWitnessStrategy(p Problem, strategy string, m int) (int, int, error) {
-	_, d12, d21, err := Disagrees(p.Q1, p.Q2, p.DB, p.Params)
+	_, d12, d21, err := p.disagrees(p.DB)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -481,16 +463,14 @@ func SolveWitnessStrategy(p Problem, strategy string, m int) (int, int, error) {
 		return 0, 0, ErrQueriesAgree
 	}
 	t := diff.Tuples[0]
-	pushed := PushDownTupleSelection(&ra.Diff{L: qa, R: qb}, t, p.DB)
-	ann, err := engine.EvalProv(pushed, p.DB, p.Params)
+	prov, err := provOfPushedTuple(qa, qb, t, p)
 	if err != nil {
 		return 0, 0, err
 	}
-	i := ann.Lookup(t)
-	if i < 0 {
+	if prov == nil {
 		return 0, 0, fmt.Errorf("core: tuple missing after pushdown")
 	}
-	b, counted, _, err := buildCNF(ann.Anns[i], p.DB, p.ForeignKeys())
+	b, counted, _, err := buildCNF(prov, p.DB, p.ForeignKeys())
 	if err != nil {
 		return 0, 0, err
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ra"
 	"repro/internal/raparser"
 	"repro/internal/relation"
+	"repro/internal/testdb"
 	"repro/internal/tpch"
 )
 
@@ -177,5 +178,43 @@ func BenchmarkParallelJoin(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkThetaEquiJoin times an equi-join with a residual inequality (the
+// hash join probes on the key and filters the pairs it emits).
+func BenchmarkThetaEquiJoin(b *testing.B) {
+	db := joinDB(2000)
+	q := raparser.MustParse("rename[x](L) join[x.k = y.k and x.a < y.b] rename[y](R)")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Eval(q, db, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProvenanceEvaluation times how-provenance evaluation of the
+// running example's Q2 − Q1.
+func BenchmarkProvenanceEvaluation(b *testing.B) {
+	db := testdb.Example1DB()
+	q := &ra.Diff{L: testdb.Q2(), R: testdb.Q1()}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvalProv(q, db, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGroupBy times a grouped count/sum/avg over 5000 rows.
+func BenchmarkGroupBy(b *testing.B) {
+	db := joinDB(5000)
+	q := raparser.MustParse("groupby[k; count(*) -> c, sum(a) -> s, avg(a) -> m](L)")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Eval(q, db, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -30,7 +30,7 @@ import (
 // state: deltas are computed into a per-call memo and only Commit folds them
 // in. Committing insertions mutates the underlying *relation.Database — the
 // prepared object must own its instance (clone it first) when insertions are
-// in play; deletion-only users (the core checker, ShrinkGreedy) share
+// in play; deletion-only users (core.ShrinkGreedy) share
 // read-only instances as before.
 
 // Insert is one tuple insertion for ApplyDelta: the base relation name and

@@ -13,7 +13,7 @@
 //   - [Set] — plain set semantics, behind [Eval] / [EvalOpts];
 //   - [Why] — Boolean how-provenance over base tuple identifiers, behind
 //     [EvalProv] / [EvalProvOpts] (γ is rejected: aggregate provenance goes
-//     through eval.EvalAggProv);
+//     through core.EvalAggProv);
 //   - [Count] — derivation counting with saturating arithmetic, behind
 //     [CountDistinct] / [CountDistinctOpts].
 //

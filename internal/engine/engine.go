@@ -115,7 +115,7 @@ func EvalOpts(q ra.Node, db *relation.Database, params map[string]relation.Value
 }
 
 // EvalProv evaluates a SPJUD query with how-provenance annotation. GroupBy
-// nodes are rejected: aggregate queries go through eval.EvalAggProv
+// nodes are rejected: aggregate queries go through core.EvalAggProv
 // (Section 5).
 func EvalProv(q ra.Node, db *relation.Database, params map[string]relation.Value) (*ProvRel, error) {
 	return Run[*boolexpr.Expr](Why, q, db, params)
@@ -283,7 +283,7 @@ func (e *exec[T]) eval(q ra.Node) (*Rel[T], error) {
 		return renameRel(in, x.As), nil
 	case *ra.GroupBy:
 		if !e.s.Aggregates() {
-			return nil, fmt.Errorf("%w (%s semiring); use eval.EvalAggProv", ErrNoAggregates, e.s.Name())
+			return nil, fmt.Errorf("%w (%s semiring); use core.EvalAggProv", ErrNoAggregates, e.s.Name())
 		}
 		in, err := e.node(x.In)
 		if err != nil {

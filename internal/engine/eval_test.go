@@ -1,8 +1,9 @@
-package eval
+package engine_test
 
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/ra"
 	"repro/internal/raparser"
 	"repro/internal/relation"
@@ -15,7 +16,7 @@ func mustEval(t *testing.T, src string, db *relation.Database) *relation.Relatio
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Eval(q, db, nil)
+	r, err := engine.Eval(q, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +54,14 @@ func TestEvalProjectDedups(t *testing.T) {
 func TestEvalExample1Results(t *testing.T) {
 	// Figure 2 of the paper: Q1 returns {(John, ECON)}, Q2 returns all 3.
 	db := testdb.Example1DB()
-	r1, err := Eval(testdb.Q1(), db, nil)
+	r1, err := engine.Eval(testdb.Q1(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Len() != 1 || !r1.Tuples[0][0].Identical(relation.String("John")) {
 		t.Errorf("Q1(D) = %v, want [(John, ECON)]", r1.Tuples)
 	}
-	r2, err := Eval(testdb.Q2(), db, nil)
+	r2, err := engine.Eval(testdb.Q2(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestEvalThetaJoinAndRename(t *testing.T) {
 
 func TestEvalGroupByExample4(t *testing.T) {
 	db := testdb.Example1DB()
-	r, err := Eval(testdb.AggQ1(), db, nil)
+	r, err := engine.Eval(testdb.AggQ1(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestEvalGroupByExample4(t *testing.T) {
 
 func TestEvalGroupByHaving(t *testing.T) {
 	db := testdb.Example1DB()
-	r, err := Eval(testdb.HavingQ1(), db, nil)
+	r, err := engine.Eval(testdb.HavingQ1(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestEvalGroupByHaving(t *testing.T) {
 	if r.Len() != 1 || !r.Tuples[0][0].Identical(relation.String("Jesse")) {
 		t.Errorf("having result = %v", r.Tuples)
 	}
-	r2, err := Eval(testdb.HavingQ2(), db, nil)
+	r2, err := engine.Eval(testdb.HavingQ2(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,21 +138,21 @@ func TestEvalGroupByHaving(t *testing.T) {
 func TestEvalParameters(t *testing.T) {
 	db := testdb.Example1DB()
 	q := testdb.ParamQ1()
-	r, err := Eval(q, db, map[string]relation.Value{"numCS": relation.Int(3)})
+	r, err := engine.Eval(q, db, map[string]relation.Value{"numCS": relation.Int(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Len() != 1 {
 		t.Errorf("numCS=3: %v", r.Tuples)
 	}
-	r, err = Eval(q, db, map[string]relation.Value{"numCS": relation.Int(1)})
+	r, err = engine.Eval(q, db, map[string]relation.Value{"numCS": relation.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Len() != 3 {
 		t.Errorf("numCS=1: %v", r.Tuples)
 	}
-	if _, err := Eval(q, db, nil); err == nil {
+	if _, err := engine.Eval(q, db, nil); err == nil {
 		t.Error("unbound parameter should error")
 	}
 }
@@ -206,8 +207,8 @@ func TestEvalErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Eval(q, db, nil); err == nil {
-			t.Errorf("Eval(%q) should fail", src)
+		if _, err := engine.Eval(q, db, nil); err == nil {
+			t.Errorf("engine.Eval(%q) should fail", src)
 		}
 	}
 }
@@ -229,7 +230,7 @@ func TestEvalNullsDontJoin(t *testing.T) {
 
 func TestCatalogAdapter(t *testing.T) {
 	db := testdb.Example1DB()
-	cat := Catalog{DB: db}
+	cat := engine.Catalog{DB: db}
 	if _, ok := cat.RelationSchema("Student"); !ok {
 		t.Error("Student should resolve")
 	}

@@ -1,9 +1,10 @@
-package eval
+package engine_test
 
 import (
 	"testing"
 
 	"repro/internal/boolexpr"
+	"repro/internal/engine"
 	"repro/internal/ra"
 	"repro/internal/raparser"
 	"repro/internal/relation"
@@ -23,7 +24,7 @@ func assignIDs(ids ...int) func(int) bool {
 func TestProvBaseAndJoin(t *testing.T) {
 	db := testdb.Example1DB()
 	q := raparser.MustParse("select[dept = 'CS'](Student join Registration)")
-	ann, err := EvalProv(q, db, nil)
+	ann, err := engine.EvalProv(q, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestProvBaseAndJoin(t *testing.T) {
 	// Each joined tuple's provenance is the conjunction of its sources,
 	// e.g. (Mary, 216, ...) = t1 ∧ t4.
 	for i, tup := range ann.Tuples {
-		prov := ann.Provs[i]
+		prov := ann.Anns[i]
 		vars := prov.Vars()
 		if len(vars) != 2 {
 			t.Errorf("%v: prov %v should have 2 vars", tup, prov)
@@ -44,7 +45,7 @@ func TestProvBaseAndJoin(t *testing.T) {
 func TestProvExample1Equation1(t *testing.T) {
 	// Prv_{Q2}(Mary, CS) = t1·(t4 + t5), Equation (1) of the paper.
 	db := testdb.Example1DB()
-	ann, err := EvalProv(testdb.Q2(), db, nil)
+	ann, err := engine.EvalProv(testdb.Q2(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestProvExample1Equation1(t *testing.T) {
 	if i < 0 {
 		t.Fatal("Mary missing")
 	}
-	prov := ann.Provs[i]
+	prov := ann.Anns[i]
 	// Check logical equivalence with t1·(t4+t5) over the relevant vars.
 	want := boolexpr.And(boolexpr.Var(1), boolexpr.Or(boolexpr.Var(4), boolexpr.Var(5)))
 	for mask := 0; mask < 8; mask++ {
@@ -77,7 +78,7 @@ func TestProvDifferenceExample21(t *testing.T) {
 	// Example 2.1: Prv_{Q2−Q1}(Mary, CS) ≡ t1·t4·t5.
 	db := testdb.Example1DB()
 	q := &ra.Diff{L: testdb.Q2(), R: testdb.Q1()}
-	ann, err := EvalProv(q, db, nil)
+	ann, err := engine.EvalProv(q, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestProvDifferenceExample21(t *testing.T) {
 	if i < 0 {
 		t.Fatal("Mary missing from annotated Q2−Q1")
 	}
-	prov := ann.Provs[i]
+	prov := ann.Anns[i]
 	// Mary's row needs t1, t4, t5 all present; check all assignments over
 	// {t1,t4,t5} (other tuples absent — they don't affect Mary's row).
 	for mask := 0; mask < 8; mask++ {
@@ -119,7 +120,7 @@ func TestProvExactnessAgainstSubinstances(t *testing.T) {
 	}
 	for _, src := range queries {
 		q := raparser.MustParse(src)
-		ann, err := EvalProv(q, db, nil)
+		ann, err := engine.EvalProv(q, db, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestProvExactnessAgainstSubinstances(t *testing.T) {
 				}
 			}
 			sub := db.Subinstance(keep)
-			res, err := Eval(q, sub, nil)
+			res, err := engine.Eval(q, sub, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,9 +149,9 @@ func TestProvExactnessAgainstSubinstances(t *testing.T) {
 			}
 			assign := assignIDs(ids...)
 			for i, tup := range ann.Tuples {
-				if ann.Provs[i].Eval(assign) != inResult[testdb.TupleKey(tup)] {
+				if ann.Anns[i].Eval(assign) != inResult[testdb.TupleKey(tup)] {
 					t.Fatalf("%s: exactness violated for %v on ids %v (prov=%v, inResult=%v)",
-						src, tup, ids, ann.Provs[i], inResult[testdb.TupleKey(tup)])
+						src, tup, ids, ann.Anns[i], inResult[testdb.TupleKey(tup)])
 				}
 			}
 			// Tuples in Q(D') must all appear in the annotated full result
@@ -168,7 +169,7 @@ func TestProvExactnessAgainstSubinstances(t *testing.T) {
 func TestProvDedupMergesWithOr(t *testing.T) {
 	db := testdb.Example1DB()
 	// project[name] over Registration: Mary appears via t4, t5, t6.
-	ann, err := EvalProv(raparser.MustParse("project[name](Registration)"), db, nil)
+	ann, err := engine.EvalProv(raparser.MustParse("project[name](Registration)"), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestProvDedupMergesWithOr(t *testing.T) {
 	if i < 0 {
 		t.Fatal("Mary missing")
 	}
-	vars := ann.Provs[i].Vars()
+	vars := ann.Anns[i].Vars()
 	if len(vars) != 3 {
 		t.Errorf("Mary's projection prov vars = %v, want t4,t5,t6", vars)
 	}
@@ -184,14 +185,14 @@ func TestProvDedupMergesWithOr(t *testing.T) {
 
 func TestProvRejectsGroupBy(t *testing.T) {
 	db := testdb.Example1DB()
-	if _, err := EvalProv(testdb.AggQ1(), db, nil); err == nil {
+	if _, err := engine.EvalProv(testdb.AggQ1(), db, nil); err == nil {
 		t.Error("EvalProv should reject aggregation")
 	}
 }
 
 func TestProvRenamePreservesAnnotations(t *testing.T) {
 	db := testdb.Example1DB()
-	ann, err := EvalProv(raparser.MustParse("rename[s](Student)"), db, nil)
+	ann, err := engine.EvalProv(raparser.MustParse("rename[s](Student)"), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +204,9 @@ func TestProvRenamePreservesAnnotations(t *testing.T) {
 	}
 }
 
-func TestAnnRelRelation(t *testing.T) {
+func TestProvRelRelation(t *testing.T) {
 	db := testdb.Example1DB()
-	ann, err := EvalProv(testdb.Q2(), db, nil)
+	ann, err := engine.EvalProv(testdb.Q2(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/eval"
+	"repro/internal/engine"
 	"repro/internal/ra"
 	"repro/internal/relation"
 )
@@ -68,7 +68,7 @@ func TestConstraintsHold(t *testing.T) {
 func TestAllQueriesEvaluate(t *testing.T) {
 	db := testDB(t)
 	for _, qs := range All() {
-		r, err := eval.Eval(qs.Correct, db, nil)
+		r, err := engine.Eval(qs.Correct, db, nil)
 		if err != nil {
 			t.Fatalf("%s correct: %v", qs.Name, err)
 		}
@@ -76,7 +76,7 @@ func TestAllQueriesEvaluate(t *testing.T) {
 			t.Errorf("%s returned no rows at sf=%v", qs.Name, testSF)
 		}
 		for i, w := range qs.Wrong {
-			if _, err := eval.Eval(w, db, nil); err != nil {
+			if _, err := engine.Eval(w, db, nil); err != nil {
 				t.Fatalf("%s wrong[%d]: %v", qs.Name, i, err)
 			}
 		}

@@ -116,7 +116,7 @@ type Options struct {
 	Params map[string]Value
 	// Algorithm forces a specific algorithm: "", "auto", "optsigma",
 	// "optsigmaall", "basic", "monotone", "justar", "spjudstar",
-	// "aggbasic", "aggparam", "aggopt".
+	// "aggbasic", "aggparam", "aggopt", "shrinkgreedy".
 	Algorithm string
 	// Delta is the model budget of the Basic algorithm (default 128).
 	Delta int
@@ -185,13 +185,15 @@ func ExplainContext(ctx context.Context, q1, q2 Query, db *Database, opts *Optio
 
 // EnumerateSmallest returns up to max distinct smallest counterexamples
 // (Example 2 of the paper notes the running example has four). Supported
-// for SPJUD queries.
+// for SPJUD queries. opts.MaxConflicts and opts.MaxRows bound it as they
+// bound Explain.
 func EnumerateSmallest(q1, q2 Query, db *Database, opts *Options, max int) ([]*Counterexample, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
 	return core.EnumerateSmallest(core.Problem{
 		Q1: q1, Q2: q2, DB: db, Constraints: opts.Constraints, Params: opts.Params,
+		MaxConflicts: opts.MaxConflicts, MaxRows: opts.MaxRows,
 	}, max)
 }
 

@@ -2,10 +2,12 @@ package ratest
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/testdb"
 )
 
@@ -146,6 +148,24 @@ func TestExplainAlgorithms(t *testing.T) {
 	}
 	if _, _, err := Explain(q1, q2, db, &Options{Algorithm: "nope"}); err == nil {
 		t.Error("unknown algorithm should error")
+	}
+}
+
+// EnumerateSmallest honors the same row budget as Explain.
+func TestEnumerateSmallestMaxRows(t *testing.T) {
+	db := testdb.Example1DB()
+	q1, q2 := testdb.Q1(), testdb.Q2()
+	opts := &Options{Constraints: testdb.Constraints(), MaxRows: 1}
+	if _, _, err := Explain(q1, q2, db, opts); !errors.Is(err, engine.ErrRowBudget) {
+		t.Fatalf("Explain with MaxRows=1: got %v, want ErrRowBudget", err)
+	}
+	ces, err := EnumerateSmallest(q1, q2, db, opts, 16)
+	if !errors.Is(err, engine.ErrRowBudget) {
+		t.Fatalf("EnumerateSmallest with MaxRows=1: got %d counterexamples and %v, want ErrRowBudget", len(ces), err)
+	}
+	opts.MaxRows = 0
+	if ces, err := EnumerateSmallest(q1, q2, db, opts, 16); err != nil || len(ces) == 0 {
+		t.Fatalf("unbudgeted EnumerateSmallest: %d counterexamples, %v", len(ces), err)
 	}
 }
 
